@@ -1,6 +1,6 @@
 // Benchmarks mirroring the paper's evaluation, one per table/figure, at
 // testing.B-friendly sizes. The full parameter sweeps with paper-style
-// output live in cmd/fitbench; EXPERIMENTS.md maps each figure to both.
+// output live in cmd/fitbench.
 package fitingtree_test
 
 import (

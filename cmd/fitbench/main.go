@@ -1,8 +1,6 @@
 // Command fitbench reproduces the FITing-Tree paper's evaluation (Section
 // 7): Table 1 and Figures 1, 6, 7, 8, 9, 10, 11, 12, and 13. Each
-// experiment prints the rows or series the paper reports; EXPERIMENTS.md
-// in the repository root records a captured run next to the paper's
-// numbers.
+// experiment prints the rows or series the paper reports.
 //
 // Usage:
 //

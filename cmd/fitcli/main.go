@@ -214,11 +214,13 @@ func cmdRecover(args []string) error {
 		return err
 	}
 	fmt.Printf("recovered %d elements from %s (wal tail %d records)\n", d.Len(), *dir, tail)
-	fmt.Printf("wal open: %d records, %d corrupt frames", ws.Records, ws.CorruptFrames)
-	if ws.TruncatedAt > 0 {
-		fmt.Printf(", repaired by cutting %d trailing bytes", ws.TruncatedAt)
+	for i, w := range ws {
+		fmt.Printf("wal open shard %d: %d records, %d corrupt frames", i, w.Records, w.CorruptFrames)
+		if w.TornBytes > 0 {
+			fmt.Printf(", repaired by cutting %d trailing bytes", w.TornBytes)
+		}
+		fmt.Println()
 	}
-	fmt.Println()
 	fmt.Printf("checkpoint: %d chunks written, %d reused, wal now %d records\n",
 		stats.ChunksWritten, stats.ChunksReused, d.WALRecords())
 	return d.Close()
@@ -253,7 +255,7 @@ func cmdScrub(args []string) error {
 	if err != nil {
 		return err
 	}
-	flavor := "single-tree"
+	flavor := "single-tree (legacy)"
 	if rep.Sharded {
 		flavor = fmt.Sprintf("sharded (generation %d)", rep.Generation)
 	}

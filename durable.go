@@ -5,256 +5,84 @@ import (
 	"encoding/gob"
 	"fmt"
 	"sort"
-	"sync"
 
 	"fitingtree/internal/core"
 	"fitingtree/internal/pager"
 	"fitingtree/internal/wal"
 )
 
-// WALName is the write-ahead log's file name inside the durable store's
-// file system.
-const WALName = "wal.log"
+// legacyWALName is the single log of a store written by the single-tree
+// facade before it became a one-shard DurableSharded. OpenDurableSharded
+// upgrades such a store and then removes this file.
+const legacyWALName = "wal.log"
 
-// Durable is the crash-safe facade: an Optimistic tree whose writes are
-// made durable by a write-ahead log and whose base tree is persisted by
-// incremental copy-on-write checkpoints.
-//
-// The protocol has three moving parts:
-//
-//   - Every Insert/Delete first appends one checksummed record to the WAL
-//     (group-committed: SetSyncEvery batches the fsync barrier), then
-//     applies to the in-memory facade. A write is acknowledged — promised
-//     to survive a crash — once a Sync barrier covers it.
-//   - A checkpointer (background by default, triggered by the flush
-//     pipeline's publications; or explicit via Checkpoint) folds the
-//     current state and writes it to page storage incrementally: chunk
-//     identity is preserved by the copy-on-write merges, so diffing the
-//     current chunk ids against the previous checkpoint's manifest yields
-//     exactly the dirty chunks, and only those are serialized — O(dirty),
-//     the on-disk mirror of publication cost. The checkpoint commits with
-//     one superblock write, after which the WAL is truncated up to the
-//     covered LSN.
-//   - OpenDurable recovers by loading the newest valid checkpoint
-//     (checksummed chunk blobs, O(segments) router rebuild, no
-//     re-segmentation) and replaying the WAL tail past the checkpoint's
-//     replay cursor — O(checkpoint + tail), never a full bulk rebuild.
-//
-// Reads (Lookup, Each, AscendRange, LookupBatch) delegate to the
-// Optimistic facade unchanged: latch-free, snapshot-consistent, and
-// oblivious to durability. Writers are serialized by an internal mutex, as
-// in Optimistic. Close checkpoints and releases the files.
-type Durable[K Key, V any] struct {
-	opt   *Optimistic[K, V]
-	codec opCodec[K, V]
-	snap  core.SnapCodec[K, V]
-	opts  Options
+// Durable is the crash-safe single-tree facade: a DurableSharded with one
+// shard. Every write is appended to one write-ahead log before it applies
+// to the in-memory Optimistic tree, checkpoints are incremental
+// copy-on-write cuts committed by one superblock write, and recovery loads
+// the newest cut and replays the log tail past it. See DurableSharded for
+// the protocol; with one shard its skew check never fires, so the fences
+// stay empty and no rebalance ever runs.
+type Durable[K Key, V any] = DurableSharded[K, V]
 
-	// mu serializes the write path: WAL append order is apply order.
-	mu        sync.Mutex
-	log       *wal.Log
-	syncEvery int
-	unsynced  int
-	// failed poisons the write path: once a WAL append or sync errors, the
-	// log's tail state is unknown (a torn frame may sit where the next
-	// append would land, and anything written after it would be cut off by
-	// recovery), so every later write fails fast with this error instead of
-	// risking an acknowledged write that replay cannot see.
-	failed error
-	// walStats describes what recovery found in the log (satellites the
-	// torn-tail/corruption diagnostics out to operators via fitcli).
-	walStats wal.OpenStats
-
-	// ckptMu serializes checkpoints and guards the fields below.
-	ckptMu       sync.Mutex
-	store        *pager.Store
-	epoch        uint64
-	heads        map[uint64]pager.PageID // chunk id -> blob head, last committed checkpoint
-	manifestHead pager.PageID
-	haveCkpt     bool
-	ckptErr      error
-
-	trigger chan struct{}
-
-	loopMu   sync.Mutex
-	loopStop chan struct{}
-	wg       sync.WaitGroup
-}
-
-// manifest is the gob-encoded checkpoint root: the tree options plus the
-// blob head of every chunk in chain order.
+// manifest is the gob-encoded checkpoint root the single-tree facade wrote
+// before it became a one-shard DurableSharded: the tree options plus the
+// blob head of every chunk in chain order. Its replay cursor lives in the
+// superblock. It is only read — by the upgrade in OpenDurableSharded and
+// by Scrub; every checkpoint now writes a core.ShardManifest.
 type manifest struct {
 	Options Options
 	Chunks  []pager.PageID
 }
 
-// CheckpointStats reports what one checkpoint did.
-type CheckpointStats struct {
-	// ReplayFrom is the first WAL LSN not covered by the checkpoint.
-	ReplayFrom uint64
-	// ChunksWritten is the number of dirty chunks serialized; ChunksReused
-	// the number whose previous blobs were carried over untouched. Their
-	// sum is the tree's chunk count.
-	ChunksWritten int
-	ChunksReused  int
-}
-
-// OpenDurable opens (or creates) a durable tree over fsys (WAL) and dev
-// (checkpoint pages). An existing checkpoint is loaded — its recorded
-// options override opts — and the WAL tail is replayed on top; a fresh
-// store starts an empty tree with opts. Automatic checkpointing starts
-// enabled.
+// OpenDurable opens (or creates) a one-shard durable tree over fsys (WAL)
+// and dev (checkpoint pages); see OpenDurableSharded. An existing
+// checkpoint's recorded options override opts. A store written before
+// Durable became one shard is upgraded in place.
 func OpenDurable[K Key, V any](fsys wal.FS, dev pager.Device, opts Options) (*Durable[K, V], error) {
-	store := pager.NewStore(dev)
-	super, haveCkpt, err := pager.ReadSuper(dev)
-	if err != nil {
-		return nil, fmt.Errorf("fitingtree: read superblock: %w", err)
-	}
-	var tree *Tree[K, V]
-	heads := make(map[uint64]pager.PageID)
-	var reachable []pager.PageID
-	usedOpts := opts
-	var epoch uint64
-	var replayFrom uint64
-	snapCodec := core.NewSnapCodec[K, V]()
-	if haveCkpt {
-		m, err := loadManifest(store, super.Manifest)
-		if err != nil {
-			return nil, err
-		}
-		usedOpts = m.Options
-		tree, reachable, err = loadCheckpointChunks(store, snapCodec, m.Chunks, usedOpts, heads, reachable)
-		if err != nil {
-			return nil, err
-		}
-		mchain, err := store.Chain(super.Manifest)
-		if err != nil {
-			return nil, err
-		}
-		reachable = append(reachable, mchain...)
-		epoch = super.Epoch
-		replayFrom = super.ReplayFrom
-	} else {
-		tree, err = core.BulkLoad[K, V](nil, nil, opts)
-		if err != nil {
-			return nil, err
-		}
-	}
-	store.RebuildFree(reachable)
-
-	log, records, walStats, err := wal.Open(fsys, WALName)
-	if err != nil {
-		return nil, err
-	}
-	log.SetNextLSN(replayFrom)
-	codec := newOpCodec[K, V]()
-	tree, err = replayTail(tree, codec, records, replayFrom)
-	if err != nil {
-		log.Close()
-		return nil, err
-	}
-	opt := NewOptimistic(tree)
-
-	d := &Durable[K, V]{
-		opt:          opt,
-		codec:        codec,
-		snap:         snapCodec,
-		opts:         usedOpts,
-		log:          log,
-		syncEvery:    1,
-		walStats:     walStats,
-		store:        store,
-		epoch:        epoch,
-		heads:        heads,
-		manifestHead: super.Manifest,
-		haveCkpt:     haveCkpt,
-		trigger:      make(chan struct{}, 1),
-	}
-	opt.SetFlushHook(func() {
-		select {
-		case d.trigger <- struct{}{}:
-		default:
-		}
-	})
-	d.SetAutoCheckpoint(true)
-	return d, nil
+	return OpenDurableSharded[K, V](fsys, dev, opts, 1)
 }
 
-// CreateDurable initializes a durable tree from an already-built tree:
-// the WAL is reset and a full checkpoint of t is written before returning,
-// so the bulk-loaded data never passes through the log. Any previous
-// content of fsys and dev is destroyed. The tree must not be used directly
-// afterwards; the facade owns it.
+// CreateDurable initializes a one-shard durable tree from an already-built
+// tree; see CreateDurableSharded. The tree must not be used directly
+// afterwards.
 func CreateDurable[K Key, V any](fsys wal.FS, dev pager.Device, t *Tree[K, V]) (*Durable[K, V], error) {
-	f, err := fsys.Create(WALName)
-	if err != nil {
-		return nil, err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return nil, err
-	}
-	if err := f.Close(); err != nil {
-		return nil, err
-	}
-	store := pager.NewStore(dev)
-	// Continue the epoch sequence past any previous store generation so
-	// the new superblock outranks a stale one in the other slot.
-	super, _, err := pager.ReadSuper(dev)
-	if err != nil {
-		return nil, err
-	}
-	store.RebuildFree(nil)
-	log, _, _, err := wal.Open(fsys, WALName)
-	if err != nil {
-		return nil, err
-	}
-	opt := NewOptimistic(t)
-	d := &Durable[K, V]{
-		opt:       opt,
-		codec:     newOpCodec[K, V](),
-		snap:      core.NewSnapCodec[K, V](),
-		opts:      t.Options(),
-		log:       log,
-		syncEvery: 1,
-		store:     store,
-		epoch:     super.Epoch,
-		heads:     make(map[uint64]pager.PageID),
-		trigger:   make(chan struct{}, 1),
-	}
-	opt.SetFlushHook(func() {
-		select {
-		case d.trigger <- struct{}{}:
-		default:
-		}
-	})
-	if _, err := d.Checkpoint(); err != nil {
-		log.Close()
-		return nil, err
-	}
-	d.SetAutoCheckpoint(true)
-	return d, nil
+	return CreateDurableSharded(fsys, dev, t, 1)
 }
 
-// loadManifest reads and decodes the checkpoint root blob.
-func loadManifest(store *pager.Store, head pager.PageID) (manifest, error) {
-	var m manifest
-	blob, err := store.Get(head)
+// readManifest reads and decodes the manifest the committed superblock
+// super names, returning its chain pages for the reachability sweep. A
+// blob that is not a core.ShardManifest but gob-decodes as the legacy
+// single-tree manifest comes back translated to one shard at generation 0,
+// its replay cursor taken from the superblock, with legacy set.
+func readManifest(store *pager.Store, super pager.Super) (m core.ShardManifest, legacy bool, chain []pager.PageID, err error) {
+	blob, chain, err := store.GetChain(super.Manifest, nil, nil)
 	if err != nil {
-		return m, fmt.Errorf("fitingtree: checkpoint manifest: %w", err)
+		return m, false, nil, fmt.Errorf("fitingtree: checkpoint manifest: %w", err)
 	}
-	if err := gob.NewDecoder(bytes.NewReader(blob)).Decode(&m); err != nil {
-		return m, fmt.Errorf("fitingtree: checkpoint manifest: %w", err)
+	if m, err = core.DecodeShardManifest(blob); err == nil {
+		return m, false, chain, nil
 	}
-	return m, nil
+	var lm manifest
+	if gob.NewDecoder(bytes.NewReader(blob)).Decode(&lm) != nil {
+		return m, false, nil, fmt.Errorf("fitingtree: checkpoint manifest: %w", err)
+	}
+	chunks := make([]uint64, len(lm.Chunks))
+	for i, c := range lm.Chunks {
+		chunks[i] = uint64(c)
+	}
+	m = core.ShardManifest{
+		Options: lm.Options,
+		Shards:  []core.ShardCut{{ReplayFrom: super.ReplayFrom, Chunks: chunks}},
+	}
+	return m, true, chain, nil
 }
 
 // loadCheckpointChunks decodes the chunk blobs at chunkHeads and assembles
 // them into a tree, registering the fresh chunk id -> blob head pairs in
-// heads and appending every chain page to reachable. It is the
-// checkpoint-loading half shared by the single-tree and sharded recoveries
-// (the sharded one calls it once per shard into the same heads map — chunk
-// ids are process-unique, so one map serves the whole facade).
+// heads and appending every chain page to reachable. Recovery calls it
+// once per shard into the same heads map — chunk ids are process-unique,
+// so one map serves the whole facade.
 func loadCheckpointChunks[K Key, V any](store *pager.Store, snapCodec core.SnapCodec[K, V],
 	chunkHeads []pager.PageID, opts Options, heads map[uint64]pager.PageID,
 	reachable []pager.PageID) (*Tree[K, V], []pager.PageID, error) {
@@ -430,379 +258,3 @@ func freeDeadHeads(store *pager.Store, prev, next map[uint64]pager.PageID) error
 	}
 	return nil
 }
-
-// Insert adds (k, v), durably once the covering Sync barrier completes
-// (immediately with the default SetSyncEvery(1)). A nil return with
-// SetSyncEvery(1) means the write is acknowledged: it survives any crash.
-// On an error the write may or may not reach the log; it is applied in
-// memory only when the append succeeded.
-func (d *Durable[K, V]) Insert(k K, v V) error {
-	if k != k {
-		panic("fitingtree: Insert with NaN key")
-	}
-	payload, err := d.codec.encodeOp(walOpInsert, k, v)
-	if err != nil {
-		return err
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.failed != nil {
-		return d.failed
-	}
-	if _, err := d.log.Append(payload); err != nil {
-		d.failed = err
-		return err
-	}
-	// Appended: apply unconditionally so memory tracks the log prefix even
-	// when the sync below fails (the op is then applied but unacknowledged,
-	// like a timed-out commit).
-	d.opt.Insert(k, v)
-	return d.maybeSync()
-}
-
-// Delete removes one element with key k (Optimistic's duplicate
-// semantics), reporting whether one was found. Durability matches Insert.
-func (d *Durable[K, V]) Delete(k K) (bool, error) {
-	if k != k {
-		panic("fitingtree: Delete with NaN key")
-	}
-	payload, err := d.codec.encodeOp(walOpDelete, k, *new(V))
-	if err != nil {
-		return false, err
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.failed != nil {
-		return false, d.failed
-	}
-	// Probe first so no-op deletes are not logged; d.mu serializes all
-	// writers, so the answer cannot change before the apply below.
-	if !d.opt.Contains(k) {
-		return false, nil
-	}
-	if _, err := d.log.Append(payload); err != nil {
-		d.failed = err
-		return false, err
-	}
-	d.opt.Delete(k)
-	return true, d.maybeSync()
-}
-
-// DeleteValue removes one element with key k whose value equals v under
-// Go equality (Optimistic.DeleteValue's flush-timing-independent victim
-// semantics), reporting whether one was removed. The WAL record carries
-// the concrete key and value, so replay re-derives exactly the same
-// victim. Durability matches Insert. Panics on a NaN key and for
-// non-comparable value types.
-func (d *Durable[K, V]) DeleteValue(k K, v V) (bool, error) {
-	if k != k {
-		panic("fitingtree: DeleteValue with NaN key")
-	}
-	payload, err := d.codec.encodeOp(walOpDeleteValue, k, v)
-	if err != nil {
-		return false, err
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.failed != nil {
-		return false, d.failed
-	}
-	// Probe first so no-op deletes are not logged; d.mu serializes all
-	// writers, so the answer cannot change before the apply below.
-	found := false
-	d.opt.Each(k, func(w V) bool {
-		if any(w) == any(v) {
-			found = true
-			return false
-		}
-		return true
-	})
-	if !found {
-		return false, nil
-	}
-	if _, err := d.log.Append(payload); err != nil {
-		d.failed = err
-		return false, err
-	}
-	d.opt.DeleteValue(k, v)
-	return true, d.maybeSync()
-}
-
-// SetSyncEvery sets the group-commit batch: the WAL is fsynced every n
-// writes instead of every write, trading a bounded window of
-// acknowledged-in-memory-only writes for fewer barriers. Use Sync to place
-// an explicit barrier. Panics if n < 1.
-func (d *Durable[K, V]) SetSyncEvery(n int) {
-	if n < 1 {
-		panic("fitingtree: SetSyncEvery batch must be >= 1")
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.syncEvery = n
-}
-
-// Sync is the explicit group-commit barrier: after it returns nil, every
-// write accepted so far survives a crash.
-func (d *Durable[K, V]) Sync() error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.syncLocked()
-}
-
-// maybeSync counts one write against the group-commit batch. Callers hold
-// d.mu.
-func (d *Durable[K, V]) maybeSync() error {
-	d.unsynced++
-	if d.unsynced < d.syncEvery {
-		return nil
-	}
-	return d.syncLocked()
-}
-
-// syncLocked flushes the WAL barrier, poisoning the write path on failure:
-// a failed fsync means the durability of everything appended since the
-// previous barrier is unknown (the kernel may have dropped the dirty
-// pages), so acknowledging anything after it could break the acked-prefix
-// guarantee. Callers hold d.mu.
-func (d *Durable[K, V]) syncLocked() error {
-	if d.unsynced == 0 {
-		return nil
-	}
-	if err := d.log.Sync(); err != nil {
-		d.failed = err
-		return err
-	}
-	d.unsynced = 0
-	return nil
-}
-
-// Checkpoint persists the current state incrementally and truncates the
-// WAL up to the covered LSN. Only chunks dirtied since the previous
-// checkpoint are written; clean chunks' blobs are carried over by
-// reference. Safe to call concurrently with reads and writes; concurrent
-// checkpoints serialize.
-func (d *Durable[K, V]) Checkpoint() (CheckpointStats, error) {
-	d.ckptMu.Lock()
-	defer d.ckptMu.Unlock()
-	stats, err := d.checkpointLocked()
-	d.ckptErr = err
-	return stats, err
-}
-
-// checkpointLocked runs one checkpoint. Callers hold d.ckptMu.
-func (d *Durable[K, V]) checkpointLocked() (CheckpointStats, error) {
-	var stats CheckpointStats
-
-	// Capture (LSN cursor, state) atomically with respect to writers:
-	// under d.mu the state contains exactly the ops with LSN < nextLSN.
-	d.mu.Lock()
-	nextLSN := d.log.NextLSN()
-	st := d.opt.state.Load()
-	d.mu.Unlock()
-	stats.ReplayFrom = nextLSN
-
-	// Fold off-lock: the fold reads only immutable published structures
-	// and costs O(pending), and it preserves untouched chunks' identity —
-	// which is what keeps the id diff below O(dirty).
-	tree := foldState(st)
-
-	newHeads := make(map[uint64]pager.PageID, len(d.heads))
-	chunks, written, reused, err := writeDirtyChunks(d.store, d.snap, tree, d.heads, newHeads)
-	if err != nil {
-		d.store.Rollback()
-		return stats, err
-	}
-	stats.ChunksWritten, stats.ChunksReused = written, reused
-	// Blobs of chunks no longer in the chain are released — reusable only
-	// after this checkpoint commits (shadow paging).
-	if err := freeDeadHeads(d.store, d.heads, newHeads); err != nil {
-		d.store.Rollback()
-		return stats, err
-	}
-	var sink bytes.Buffer
-	if err := gob.NewEncoder(&sink).Encode(manifest{Options: d.opts, Chunks: chunks}); err != nil {
-		d.store.Rollback()
-		return stats, fmt.Errorf("fitingtree: checkpoint manifest: %w", err)
-	}
-	mHead, err := d.store.Put(sink.Bytes())
-	if err != nil {
-		d.store.Rollback()
-		return stats, err
-	}
-	if d.haveCkpt {
-		if err := d.store.Free(d.manifestHead); err != nil {
-			d.store.Rollback()
-			return stats, err
-		}
-	}
-	// The commit point: one checksummed superblock write + sync. Before
-	// it, a crash recovers the previous checkpoint; after it, this one.
-	if err := pager.WriteSuper(d.store.Device(), pager.Super{
-		Epoch:      d.epoch + 1,
-		Manifest:   mHead,
-		ReplayFrom: nextLSN,
-	}); err != nil {
-		d.store.Rollback()
-		return stats, err
-	}
-	d.store.Commit()
-	d.epoch++
-	d.heads = newHeads
-	d.manifestHead = mHead
-	d.haveCkpt = true
-
-	// Drop the covered WAL prefix. Failure here is benign: the records
-	// stay until the next checkpoint, and replay skips them via the
-	// cursor.
-	if nextLSN > 0 {
-		d.mu.Lock()
-		err = d.log.Truncate(nextLSN - 1)
-		d.mu.Unlock()
-		if err != nil {
-			return stats, err
-		}
-	}
-	return stats, nil
-}
-
-// SetAutoCheckpoint starts or stops the background checkpointer, which
-// runs a checkpoint after every flush publication (the moment dirty chunks
-// appear). Disabling waits for an in-flight checkpoint to finish, so
-// afterwards checkpoints happen only via explicit Checkpoint calls —
-// deterministic, which is what the crash-matrix tests need.
-func (d *Durable[K, V]) SetAutoCheckpoint(on bool) {
-	d.loopMu.Lock()
-	defer d.loopMu.Unlock()
-	if on == (d.loopStop != nil) {
-		return
-	}
-	if on {
-		stop := make(chan struct{})
-		d.loopStop = stop
-		d.wg.Add(1)
-		go d.checkpointLoop(stop)
-		return
-	}
-	close(d.loopStop)
-	d.loopStop = nil
-	d.wg.Wait()
-}
-
-// checkpointLoop runs checkpoints on flush triggers until stopped. Errors
-// are retained for Err; an injected or real storage fault must not take
-// down the in-memory index.
-func (d *Durable[K, V]) checkpointLoop(stop chan struct{}) {
-	defer d.wg.Done()
-	for {
-		select {
-		case <-stop:
-			return
-		case <-d.trigger:
-			d.Checkpoint()
-		}
-	}
-}
-
-// Err returns the facade's sticky health: the write-path poison error when
-// a WAL append or sync has failed (every write since has failed fast), else
-// the most recent checkpoint error (nil after a successful checkpoint),
-// surfacing background checkpoint failures.
-func (d *Durable[K, V]) Err() error {
-	d.mu.Lock()
-	failed := d.failed
-	d.mu.Unlock()
-	if failed != nil {
-		return failed
-	}
-	d.ckptMu.Lock()
-	defer d.ckptMu.Unlock()
-	return d.ckptErr
-}
-
-// Close drains the flush pipeline, runs a final checkpoint, and releases
-// the WAL handle. A poisoned facade skips the checkpoint — its last
-// committed cut plus the synced WAL prefix already hold everything
-// acknowledged — and returns the poison error; Close itself never makes
-// things worse. The facade must not be used afterwards.
-func (d *Durable[K, V]) Close() error {
-	d.SetAutoCheckpoint(false)
-	d.opt.SetFlushHook(nil)
-	d.opt.Close()
-	d.mu.Lock()
-	cerr := d.failed
-	d.mu.Unlock()
-	if cerr == nil {
-		_, cerr = d.Checkpoint()
-	}
-	d.mu.Lock()
-	err := d.log.Close()
-	d.mu.Unlock()
-	if cerr != nil {
-		return cerr
-	}
-	return err
-}
-
-// WALRecords returns the number of records currently in the log — the
-// replay tail the next recovery would process (plus any not-yet-truncated
-// checkpointed prefix).
-func (d *Durable[K, V]) WALRecords() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.log.Len()
-}
-
-// WALOpenStats returns what recovery found when it opened the log: the
-// replayed record count and, when the file was cut, whether the discarded
-// tail looked like a torn append (TornBytes without CorruptFrames) or like
-// corruption (CorruptFrames > 0). Zero values mean a clean shutdown.
-func (d *Durable[K, V]) WALOpenStats() wal.OpenStats { return d.walStats }
-
-// Lookup returns a value stored under k; see Optimistic.Lookup.
-func (d *Durable[K, V]) Lookup(k K) (V, bool) { return d.opt.Lookup(k) }
-
-// Contains reports whether k is present.
-func (d *Durable[K, V]) Contains(k K) bool { return d.opt.Contains(k) }
-
-// Each calls fn for every element with key exactly k; see Optimistic.Each.
-func (d *Durable[K, V]) Each(k K, fn func(v V) bool) { d.opt.Each(k, fn) }
-
-// AscendRange scans lo <= key <= hi in order; see Optimistic.AscendRange.
-func (d *Durable[K, V]) AscendRange(lo, hi K, fn func(k K, v V) bool) {
-	d.opt.AscendRange(lo, hi, fn)
-}
-
-// LookupBatch resolves keys against one snapshot; see
-// Optimistic.LookupBatch.
-func (d *Durable[K, V]) LookupBatch(keys []K) ([]V, []bool) { return d.opt.LookupBatch(keys) }
-
-// Len returns the number of stored elements, including pending inserts.
-func (d *Durable[K, V]) Len() int { return d.opt.Len() }
-
-// Stats returns index statistics; see Optimistic.Stats.
-func (d *Durable[K, V]) Stats() Stats { return d.opt.Stats() }
-
-// SetFlushEvery forwards to the inner Optimistic facade.
-func (d *Durable[K, V]) SetFlushEvery(n int) { d.opt.SetFlushEvery(n) }
-
-// SetMaxFrozenLayers sets the frozen merge ladder depth; see
-// Optimistic.SetMaxFrozenLayers. Durability is unaffected by the depth:
-// the WAL covers every pending layer, and the checkpointer runs on
-// base-tree publications (ladder folds), which are the pipeline's natural
-// consistent cuts.
-func (d *Durable[K, V]) SetMaxFrozenLayers(n int) { d.opt.SetMaxFrozenLayers(n) }
-
-// SyncFlush folds the pending delta into the base tree and waits for the
-// publication; see Optimistic.SyncFlush. Durability is unaffected (the WAL
-// already holds the delta); it makes the next Checkpoint's dirty-chunk set
-// exactly the flush's published one.
-func (d *Durable[K, V]) SyncFlush() { d.opt.SyncFlush() }
-
-// SetAsyncFlush forwards to the inner Optimistic facade.
-func (d *Durable[K, V]) SetAsyncFlush(enabled bool) { d.opt.SetAsyncFlush(enabled) }
-
-// SetAutoTune enables or disables cost-model-driven self-tuning (see
-// Optimistic.SetAutoTune; disabled by default). Retuned layouts persist:
-// checkpoints record each page's error bound, so recovery reassembles
-// the tuned layout exactly.
-func (d *Durable[K, V]) SetAutoTune(enabled bool) { d.opt.SetAutoTune(enabled) }

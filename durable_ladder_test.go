@@ -32,7 +32,7 @@ func ladderDurable(t testing.TB, fsys wal.FS, dev pager.Device) *Durable[int, in
 	d.SetAsyncFlush(true)
 	d.SetFlushEvery(4)
 	d.SetMaxFrozenLayers(3)
-	d.opt.flusher.Store(true) // the script is the scheduler
+	soleOpt(d).flusher.Store(true) // the script is the scheduler
 	return d
 }
 
@@ -71,7 +71,7 @@ func runLadderScript(d *Durable[int, int], ops []dOp, ckptAt map[int]bool) (acke
 	m := &dmodel{}
 	states = append(states, m.clone())
 	for i, op := range ops {
-		pumpLadder(d.opt)
+		pumpLadder(soleOpt(d))
 		if ckptAt[i] {
 			d.Checkpoint() // folds the whole ladder off-lock for the snapshot
 		}
@@ -109,7 +109,7 @@ func TestCrashMatrixWALLadder(t *testing.T) {
 	// prove the matrix really runs over in-flight compactions.
 	rounds := 0
 	for i, op := range ops {
-		rounds += pumpLadder(d.opt)
+		rounds += pumpLadder(soleOpt(d))
 		if ckptAt[i] {
 			if _, err := d.Checkpoint(); err != nil {
 				t.Fatal(err)
@@ -224,7 +224,7 @@ func TestRecoveryBatchedReplay(t *testing.T) {
 	if !pairsEqual(dump(rec), m.pairs) {
 		t.Fatal("batched replay recovered the wrong content")
 	}
-	tree := rec.opt.state.Load().tree
+	tree := soleOpt(rec).state.Load().tree
 	c := tree.Counters()
 	chunks := len(tree.ChunkIDs())
 	if c.Merges > chunks {

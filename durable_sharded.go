@@ -29,25 +29,33 @@ func ShardWALName(gen uint64, i int) string {
 	return fmt.Sprintf("wal-%d-%d.log", gen, i)
 }
 
-// DurableSharded is the crash-safe multi-writer facade: a range-sharded
-// set of Optimistic trees (Sharded's partitioning and read protocol)
-// whose writes are made durable by one write-ahead log per shard and
-// whose checkpoints commit one atomic cross-shard cut.
+// DurableSharded is the crash-safe facade: a range-sharded set of
+// Optimistic trees (Sharded's partitioning and read protocol) whose writes
+// are made durable by one write-ahead log per shard and whose checkpoints
+// commit one atomic cross-shard cut. Durable is this facade with one
+// shard.
 //
-// The protocol extends Durable's in three ways:
+// The protocol has four parts:
 //
 //   - Parallel group commit. Each shard owns a private WAL; a write
-//     appends to its shard's log under that shard's mutex only, so
-//     writers on different shards append — and fsync — concurrently. An
-//     op is acknowledged once its own shard's Sync barrier covers it.
-//   - Atomic cross-shard checkpoints. A checkpoint captures every
-//     shard's (chunk heads, WAL replay cursor) — each cut taken under
-//     that shard's writer mutex — and writes one top-level manifest blob
-//     naming all of them plus the fence keys, committed by the pager's
-//     dual-superblock epoch flip. Recovery therefore always loads one
-//     coherent epoch: all shards from cut N, never a mix. Per-shard
-//     chunk writes stay incremental (chunk ids are process-unique, so
-//     one id→blob map serves the whole facade).
+//     appends one checksummed record to its shard's log under that
+//     shard's mutex only, then applies to the shard's tree, so writers on
+//     different shards append — and fsync — concurrently. An op is
+//     acknowledged once its own shard's Sync barrier covers it
+//     (SetSyncEvery batches the barrier).
+//   - Incremental, atomic cross-shard checkpoints. A checkpoint (in the
+//     background after flush publications, or explicit via Checkpoint)
+//     captures every shard's (state, WAL replay cursor) — each taken under
+//     that shard's writer mutex — and serializes only the chunks dirtied
+//     since the previous cut: the copy-on-write merges preserve untouched
+//     chunks' identity, so the chunk-id diff is exactly the dirty set
+//     (chunk ids are process-unique, so one id→blob map serves the whole
+//     facade). One top-level manifest blob names every shard's chunks and
+//     cursor plus the fence keys, committed by the pager's dual-superblock
+//     epoch flip, after which each log is truncated up to its cursor.
+//     Recovery therefore always loads one coherent epoch — all shards from
+//     cut N, never a mix — and replays only the log tails past it:
+//     O(checkpoint + tail), never a full rebuild.
 //   - Crash-consistent rebalance. Moving keys between shards is a
 //     multi-shard mutation; it becomes atomic by writing a fence-change
 //     intent record (old fences, new fences, source epoch) before any
@@ -134,14 +142,15 @@ type dshard[K Key, V any] struct {
 	unsynced int
 }
 
-// ShardedCheckpointStats reports what one cross-shard checkpoint did.
-type ShardedCheckpointStats struct {
+// CheckpointStats reports what one checkpoint did.
+type CheckpointStats struct {
 	// Epoch is the committed cut's epoch.
 	Epoch uint64
 	// Shards is the number of shards in the cut.
 	Shards int
 	// ChunksWritten sums the dirty chunks serialized across shards;
-	// ChunksReused those carried over by reference.
+	// ChunksReused those carried over by reference. Their sum is the
+	// facade's chunk count.
 	ChunksWritten int
 	ChunksReused  int
 }
@@ -154,7 +163,9 @@ type ShardedCheckpointStats struct {
 // shard's checkpoint chunks are loaded and its WAL tail replayed. The
 // manifest's recorded options and fences override opts; a fresh store
 // starts one empty shard with opts and grows toward the shards target as
-// data arrives. Automatic checkpointing starts enabled.
+// data arrives. A store written by the single-tree facade before it
+// became one shard (a gob manifest and one legacy log) is upgraded: see
+// upgradeLegacy. Automatic checkpointing starts enabled.
 func OpenDurableSharded[K Key, V any](fsys wal.FS, dev pager.Device, opts Options, shards int) (*DurableSharded[K, V], error) {
 	if shards < 1 {
 		return nil, fmt.Errorf("fitingtree: shard count %d, must be >= 1", shards)
@@ -165,12 +176,13 @@ func OpenDurableSharded[K Key, V any](fsys wal.FS, dev pager.Device, opts Option
 		return nil, fmt.Errorf("fitingtree: read superblock: %w", err)
 	}
 	var m core.ShardManifest
+	var legacy bool
 	var mchain []pager.PageID
 	if haveCkpt {
 		// The manifest is loaded before the intent is settled: its
 		// generation — not the superblock's epoch — is what classifies an
 		// in-flight migration (see resolveIntent).
-		if m, mchain, err = loadShardManifest(store, super.Manifest); err != nil {
+		if m, legacy, mchain, err = readManifest(store, super); err != nil {
 			return nil, err
 		}
 	}
@@ -200,6 +212,9 @@ func OpenDurableSharded[K Key, V any](fsys wal.FS, dev pager.Device, opts Option
 				return nil, fmt.Errorf("fitingtree: shard %d: %w", i, err)
 			}
 			replayFroms[i] = cut.ReplayFrom
+		}
+		if legacy {
+			return upgradeLegacy(fsys, dev, d.codec, trees[0], replayFroms[0], shards)
 		}
 		reachable = append(reachable, mchain...)
 		d.epoch = super.Epoch
@@ -246,16 +261,45 @@ func OpenDurableSharded[K Key, V any](fsys wal.FS, dev pager.Device, opts Option
 	return d, nil
 }
 
+// upgradeLegacy finishes opening a store written by the single-tree facade
+// before it became one shard. tree is the store's checkpoint; the legacy
+// log's tail past replayFrom is folded into it, and CreateDurableSharded
+// then supersedes the store with a full cut over fresh generation-0 logs.
+// That path shields the legacy pages and leaves the legacy log alone until
+// the cut commits, and only then removes the log, so a crash at any step
+// recovers either the intact legacy store or the upgraded one. The
+// facade's WALOpenStats reports the legacy log in entry 0.
+func upgradeLegacy[K Key, V any](fsys wal.FS, dev pager.Device, codec opCodec[K, V],
+	tree *Tree[K, V], replayFrom uint64, shards int) (*DurableSharded[K, V], error) {
+	log, records, st, err := wal.Open(fsys, legacyWALName)
+	if err != nil {
+		return nil, err
+	}
+	if err := log.Close(); err != nil {
+		return nil, err
+	}
+	if tree, err = replayTail(tree, codec, records, replayFrom); err != nil {
+		return nil, err
+	}
+	d, err := CreateDurableSharded(fsys, dev, tree, shards)
+	if err != nil {
+		return nil, err
+	}
+	d.walStats[0] = st
+	return d, nil
+}
+
 // CreateDurableSharded initializes a sharded durable facade from an
 // already-built tree: t is split into at most shards balanced range
 // partitions (Sharded's fence policy) and a full cross-shard checkpoint
 // is committed before returning, so the bulk-loaded data never passes
 // through the logs. Any previous content of fsys and dev is superseded —
-// atomically when it is a readable sharded store: the new store's first
-// cut is built under the next generation (fresh log names, old pages
-// shielded), so until that cut commits a crash still recovers the old
-// store in full, and only afterwards are its files swept. The tree must
-// not be used directly afterwards; the facade owns it.
+// atomically when it is a readable store of either manifest flavor: the
+// new store's first cut is built under the next generation (fresh log
+// names, old pages shielded), so until that cut commits a crash still
+// recovers the old store in full, and only afterwards are its files
+// swept. The tree must not be used directly afterwards; the facade owns
+// it.
 func CreateDurableSharded[K Key, V any](fsys wal.FS, dev pager.Device, t *Tree[K, V], shards int) (*DurableSharded[K, V], error) {
 	if shards < 1 {
 		return nil, fmt.Errorf("fitingtree: shard count %d, must be >= 1", shards)
@@ -282,15 +326,22 @@ func CreateDurableSharded[K Key, V any](fsys wal.FS, dev pager.Device, t *Tree[K
 		return nil, err
 	}
 	gen := uint64(0)
-	oldShards := 0
+	var oldLogs []string
 	var reachable []pager.PageID
 	if haveCkpt {
-		// A previous store whose manifest no longer decodes (corrupt, or
-		// a single-tree Durable's) was unrecoverable by this facade
-		// anyway; it gets plain destructive supersede semantics.
-		if m, mchain, merr := loadShardManifest(store, super.Manifest); merr == nil {
-			gen = m.Generation + 1
-			oldShards = len(m.Shards)
+		// A previous store whose manifest no longer decodes was
+		// unrecoverable anyway; it gets plain destructive supersede
+		// semantics. A legacy store's single log carries no generation,
+		// so the new store starts at generation 0.
+		if m, legacy, mchain, merr := readManifest(store, super); merr == nil {
+			if legacy {
+				oldLogs = []string{legacyWALName}
+			} else {
+				gen = m.Generation + 1
+				for i := range m.Shards {
+					oldLogs = append(oldLogs, ShardWALName(m.Generation, i))
+				}
+			}
 			reachable = mchain
 		shield:
 			for _, cut := range m.Shards {
@@ -337,10 +388,11 @@ func CreateDurableSharded[K Key, V any](fsys wal.FS, dev pager.Device, t *Tree[K
 	// Committed: the previous store and any stale rebalance intent are
 	// dead. The sweep is best-effort — a leftover intent resolves
 	// harmlessly at the next open (its generation is at most gen, so it
-	// can never condemn this store's logs), and old-generation log files
-	// are never opened again (log names embed the generation).
-	for i := 0; i < oldShards; i++ {
-		d.fsys.Remove(ShardWALName(gen-1, i))
+	// can never condemn this store's logs), and old log files are never
+	// opened again (log names embed the generation, and the legacy log is
+	// read only under a legacy manifest).
+	for _, name := range oldLogs {
+		d.fsys.Remove(name)
 	}
 	d.fsys.Remove(IntentName)
 	d.fsys.Remove(IntentName + ".tmp")
@@ -458,20 +510,6 @@ func closeShardLogs[K Key, V any](shards []*dshard[K, V]) {
 			sh.log.Close()
 		}
 	}
-}
-
-// loadShardManifest reads, checksum-verifies, and decodes the top-level
-// manifest blob, returning its chain pages for the reachability sweep.
-func loadShardManifest(store *pager.Store, head pager.PageID) (core.ShardManifest, []pager.PageID, error) {
-	blob, chain, err := store.GetChain(head, nil, nil)
-	if err != nil {
-		return core.ShardManifest{}, nil, fmt.Errorf("fitingtree: shard manifest: %w", err)
-	}
-	m, err := core.DecodeShardManifest(blob)
-	if err != nil {
-		return core.ShardManifest{}, nil, fmt.Errorf("fitingtree: shard manifest: %w", err)
-	}
-	return m, chain, nil
 }
 
 // encodeFences encodes fence keys into the manifest's opaque byte-string
@@ -794,11 +832,11 @@ func (d *DurableSharded[K, V]) Sync() error {
 // after a failed rebalance in particular, committing a new epoch under
 // the old generation would strand the durable state between the intent
 // record and the migration it describes.
-func (d *DurableSharded[K, V]) Checkpoint() (ShardedCheckpointStats, error) {
+func (d *DurableSharded[K, V]) Checkpoint() (CheckpointStats, error) {
 	d.ckptMu.Lock()
 	defer d.ckptMu.Unlock()
 	if err := d.failedErr(); err != nil {
-		return ShardedCheckpointStats{}, err
+		return CheckpointStats{}, err
 	}
 	stats, err := d.checkpointLocked(d.set.Load(), d.generation)
 	d.ckptErr = err
@@ -808,8 +846,8 @@ func (d *DurableSharded[K, V]) Checkpoint() (ShardedCheckpointStats, error) {
 // checkpointLocked commits one cut of set under generation. Callers hold
 // d.ckptMu; set must be the published set (or, during a rebalance, the
 // set about to be published while writers are excluded).
-func (d *DurableSharded[K, V]) checkpointLocked(set *dshardSet[K, V], generation uint64) (ShardedCheckpointStats, error) {
-	stats := ShardedCheckpointStats{Shards: len(set.shards)}
+func (d *DurableSharded[K, V]) checkpointLocked(set *dshardSet[K, V], generation uint64) (CheckpointStats, error) {
+	stats := CheckpointStats{Shards: len(set.shards)}
 
 	// Capture each shard's (LSN cursor, state) under its writer mutex:
 	// the state then contains exactly the ops with LSN < cut. The cuts
@@ -1147,10 +1185,11 @@ func (d *DurableSharded[K, V]) WALRecords() int {
 }
 
 // WALOpenStats returns what recovery found when it opened each shard's
-// log (in shard order of the opened generation): replayed record counts
-// and, for cut files, whether the discarded tail looked like a torn
-// append or like corruption. Empty for a facade built by
-// CreateDurableSharded.
+// log, one entry per shard of the opened generation: replayed record
+// counts and, for cut files, whether the discarded tail looked like a
+// torn append or like corruption. The entries are zero for a facade built
+// by CreateDurableSharded; after a legacy upgrade, entry 0 describes the
+// legacy log the store was recovered from.
 func (d *DurableSharded[K, V]) WALOpenStats() []wal.OpenStats {
 	return append([]wal.OpenStats(nil), d.walStats...)
 }

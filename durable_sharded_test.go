@@ -357,12 +357,19 @@ func TestDurableShardedAutoRebalance(t *testing.T) {
 // mutating operation of the sharded script — mid-append on any shard,
 // mid-sync, mid-truncate, mid-intent, mid-migration — then crashes away
 // unsynced bytes and asserts prefix-consistent recovery with no
-// acknowledged write lost.
+// acknowledged write lost. The three-shard matrix runs at the top level;
+// the one-shard row (the engine behind Durable, crossing the same
+// explicit rebalance) runs under shards=1.
 func TestShardedCrashMatrixWAL(t *testing.T) {
+	shardedCrashMatrixWAL(t, 3)
+	t.Run("shards=1", func(t *testing.T) { shardedCrashMatrixWAL(t, 1) })
+}
+
+func shardedCrashMatrixWAL(t *testing.T, shards int) {
 	ops, ckptAt, rebalAt := shardedCrashScript()
 
 	probeFS := wal.NewFaultFS(wal.NewMemFS())
-	d, m := seedSharded(t, probeFS, pager.NewDisk(), 3)
+	d, m := seedSharded(t, probeFS, pager.NewDisk(), shards)
 	probeFS.SetTrip(-1) // reset the counter: only script-time sites matter
 	if acked, _ := runShardedScript(d, m, ops, ckptAt, rebalAt); acked != len(ops) {
 		t.Fatalf("probe run acknowledged %d/%d ops", acked, len(ops))
@@ -379,11 +386,11 @@ func TestShardedCrashMatrixWAL(t *testing.T) {
 			mem := wal.NewMemFS()
 			faulty := wal.NewFaultFS(mem)
 			dev := pager.NewDisk()
-			d, m := seedSharded(t, faulty, dev, 3)
+			d, m := seedSharded(t, faulty, dev, shards)
 			faulty.SetTrip(trip)
 			acked, states := runShardedScript(d, m, ops, ckptAt, rebalAt)
 			mem.Crash()
-			verifyShardedRecovery(t, "wal crash", mem, dev, 3, acked, states)
+			verifyShardedRecovery(t, "wal crash", mem, dev, shards, acked, states)
 		})
 	}
 }
@@ -392,12 +399,17 @@ func TestShardedCrashMatrixWAL(t *testing.T) {
 // page write and sync — mid-blob, mid-manifest, mid-superblock, and
 // anywhere inside the rebalance's committing cut — and asserts the
 // previous committed epoch plus the intact logs still recover every
-// acknowledged write.
+// acknowledged write. Shard counts as in TestShardedCrashMatrixWAL.
 func TestShardedCrashMatrixCheckpoint(t *testing.T) {
+	shardedCrashMatrixCheckpoint(t, 3)
+	t.Run("shards=1", func(t *testing.T) { shardedCrashMatrixCheckpoint(t, 1) })
+}
+
+func shardedCrashMatrixCheckpoint(t *testing.T, shards int) {
 	ops, ckptAt, rebalAt := shardedCrashScript()
 
 	probeDev := pager.NewFaultDevice(pager.NewDisk())
-	d, m := seedSharded(t, wal.NewMemFS(), probeDev, 3)
+	d, m := seedSharded(t, wal.NewMemFS(), probeDev, shards)
 	probeDev.SetTrip(-1) // reset the counter: only script-time sites matter
 	if acked, _ := runShardedScript(d, m, ops, ckptAt, rebalAt); acked != len(ops) {
 		t.Fatalf("probe run acknowledged %d/%d ops", acked, len(ops))
@@ -414,11 +426,11 @@ func TestShardedCrashMatrixCheckpoint(t *testing.T) {
 			mem := wal.NewMemFS()
 			inner := pager.NewDisk()
 			faulty := pager.NewFaultDevice(inner)
-			d, m := seedSharded(t, mem, faulty, 3)
+			d, m := seedSharded(t, mem, faulty, shards)
 			faulty.SetTrip(trip)
 			acked, states := runShardedScript(d, m, ops, ckptAt, rebalAt)
 			mem.Crash()
-			verifyShardedRecovery(t, "ckpt crash", mem, inner, 3, acked, states)
+			verifyShardedRecovery(t, "ckpt crash", mem, inner, shards, acked, states)
 		})
 	}
 }

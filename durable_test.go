@@ -59,6 +59,9 @@ func dump(d *Durable[int, int]) [][2]int {
 	return pairs
 }
 
+// soleOpt returns the Optimistic tree of a one-shard durable facade.
+func soleOpt(d *Durable[int, int]) *Optimistic[int, int] { return d.set.Load().opts[0] }
+
 func pairsEqual(a, b [][2]int) bool {
 	if len(a) != len(b) {
 		return false
@@ -141,7 +144,7 @@ func verifyRecovery(t *testing.T, label string, fsys wal.FS, dev pager.Device, a
 	// Structural check first: every recovered page must respect its own
 	// recorded error bound (werr), so a checkpoint written under a tuned
 	// per-region plan survives any fault trip with its layout intact.
-	if err := rec.opt.state.Load().tree.CheckInvariants(); err != nil {
+	if err := soleOpt(rec).state.Load().tree.CheckInvariants(); err != nil {
 		t.Fatalf("%s: recovered invariants: %v", label, err)
 	}
 	got := dump(rec)

@@ -17,8 +17,8 @@ type ScrubSuper struct {
 
 // ScrubChunk is one live checkpoint chunk's scrub result.
 type ScrubChunk struct {
-	// Shard is the owning shard's index (always 0 for a single-tree
-	// store).
+	// Shard is the owning shard's index (always 0 for a legacy
+	// single-tree store).
 	Shard int
 	// Index is the chunk's position within its shard's manifest entry.
 	Index int
@@ -36,8 +36,9 @@ type ScrubReport struct {
 	// one's — the checkpoint the rest of the report covers.
 	Supers [2]ScrubSuper
 	Epoch  uint64
-	// Sharded reports the manifest's flavor: a cross-shard cut
-	// (DurableSharded) or a single-tree checkpoint root (Durable).
+	// Sharded reports the manifest's flavor: a cross-shard cut, or the
+	// legacy single-tree gob root that stores written before Durable
+	// became a one-shard DurableSharded carry until they are next opened.
 	// Generation is the fence generation of a sharded cut, 0 otherwise.
 	Sharded    bool
 	Generation uint64
@@ -86,44 +87,25 @@ func Scrub[K Key, V any](dev pager.Device) (*ScrubReport, error) {
 	}
 	rep.Epoch = super.Epoch
 
+	// The manifest decides the store's flavor: a self-describing
+	// cross-shard cut, or the gob root of a store written by the
+	// single-tree facade before it became one shard.
 	store := pager.NewStore(dev)
-	blob, mchain, err := store.GetChain(super.Manifest, nil, nil)
+	m, legacy, mchain, err := readManifest(store, super)
 	if err != nil {
-		return &rep, fmt.Errorf("fitingtree: scrub manifest: %w", err)
+		return &rep, fmt.Errorf("fitingtree: scrub: %w", err)
 	}
+	rep.Sharded = !legacy
+	rep.Generation = m.Generation
+	rep.Shards = len(m.Shards)
 	rep.ManifestPages = len(mchain)
 	rep.LivePages = len(mchain)
 
-	// The manifest decides the store's flavor: a self-describing
-	// cross-shard cut, or the single-tree gob root.
-	var shardChunks [][]pager.PageID
-	var opts Options
-	if m, err := core.DecodeShardManifest(blob); err == nil {
-		rep.Sharded = true
-		rep.Generation = m.Generation
-		opts = m.Options
-		shardChunks = make([][]pager.PageID, len(m.Shards))
-		for i, cut := range m.Shards {
-			shardChunks[i] = make([]pager.PageID, len(cut.Chunks))
-			for j, c := range cut.Chunks {
-				shardChunks[i][j] = pager.PageID(c)
-			}
-		}
-	} else {
-		m, err := loadManifest(store, super.Manifest)
-		if err != nil {
-			return &rep, fmt.Errorf("fitingtree: scrub: manifest is neither flavor: %w", err)
-		}
-		opts = m.Options
-		shardChunks = [][]pager.PageID{m.Chunks}
-	}
-	rep.Shards = len(shardChunks)
-
 	snapCodec := core.NewSnapCodec[K, V]()
-	for shard, chunkHeads := range shardChunks {
-		snaps := make([]core.ChunkSnap[K, V], len(chunkHeads))
-		for i, head := range chunkHeads {
-			blob, chain, err := store.GetChain(head, nil, nil)
+	for shard, cut := range m.Shards {
+		snaps := make([]core.ChunkSnap[K, V], len(cut.Chunks))
+		for i, head := range cut.Chunks {
+			blob, chain, err := store.GetChain(pager.PageID(head), nil, nil)
 			if err != nil {
 				return &rep, fmt.Errorf("fitingtree: scrub shard %d chunk %d: %w", shard, i, err)
 			}
@@ -145,7 +127,7 @@ func Scrub[K Key, V any](dev pager.Device) (*ScrubReport, error) {
 			})
 			rep.LivePages += len(chain)
 		}
-		tree, err := core.AssembleChunks(snaps, opts)
+		tree, err := core.AssembleChunks(snaps, m.Options)
 		if err != nil {
 			return &rep, fmt.Errorf("fitingtree: scrub shard %d: %w", shard, err)
 		}

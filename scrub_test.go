@@ -59,11 +59,10 @@ func TestScrubSharded(t *testing.T) {
 	if err != nil || !ok {
 		t.Fatalf("no superblock: %v", err)
 	}
-	m, mchain, err := loadShardManifest(pager.NewStore(dev), sup.Manifest)
+	m, _, _, err := readManifest(pager.NewStore(dev), sup)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_ = mchain
 	victim := pager.PageID(m.Shards[1].Chunks[0])
 	buf := make([]byte, pager.PageSize)
 	if err := dev.Read(victim, buf); err != nil {
@@ -78,24 +77,12 @@ func TestScrubSharded(t *testing.T) {
 	}
 }
 
-// TestScrubSingleTree verifies the auditor recognizes a plain Durable
-// store's gob manifest.
+// TestScrubSingleTree verifies the auditor still recognizes the legacy
+// single-tree gob manifest: the fixture's checkpoint, audited before any
+// open upgrades it.
 func TestScrubSingleTree(t *testing.T) {
-	mem := wal.NewMemFS()
-	dev := pager.NewDisk()
-	d, err := OpenDurable[int, int](mem, dev, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	d.SetAutoCheckpoint(false)
-	for i := 0; i < 500; i++ {
-		if err := d.Insert(i, i); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := d.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
+	_, checkpointed := legacyExpected(t)
+	_, dev := legacyInMemory(t)
 	rep, err := Scrub[int, int](dev)
 	if err != nil {
 		t.Fatal(err)
@@ -103,8 +90,8 @@ func TestScrubSingleTree(t *testing.T) {
 	if rep.Sharded || rep.Shards != 1 {
 		t.Fatalf("scrub flavor: sharded=%v shards=%d", rep.Sharded, rep.Shards)
 	}
-	if rep.Elements != 500 {
-		t.Fatalf("scrub counted %d elements, want 500", rep.Elements)
+	if rep.Elements != checkpointed {
+		t.Fatalf("scrub counted %d elements, want %d", rep.Elements, checkpointed)
 	}
 }
 
