@@ -3,7 +3,9 @@ package fitingtree
 import (
 	"bytes"
 	"encoding/gob"
+	"errors"
 	"fmt"
+	"io/fs"
 	"sort"
 
 	"fitingtree/internal/core"
@@ -15,6 +17,19 @@ import (
 // facade before it became a one-shard DurableSharded. OpenDurableSharded
 // upgrades such a store and then removes this file.
 const legacyWALName = "wal.log"
+
+// hasLegacyLog reports whether fsys still holds the legacy log. It only
+// reads, so probing costs no mutating operation.
+func hasLegacyLog(fsys wal.FS) (bool, error) {
+	f, err := fsys.Open(legacyWALName)
+	if errors.Is(err, fs.ErrNotExist) {
+		return false, nil
+	}
+	if err != nil {
+		return false, fmt.Errorf("fitingtree: probe legacy log: %w", err)
+	}
+	return true, f.Close()
+}
 
 // Durable is the crash-safe single-tree facade: a DurableSharded with one
 // shard. Every write is appended to one write-ahead log before it applies

@@ -164,8 +164,9 @@ type CheckpointStats struct {
 // manifest's recorded options and fences override opts; a fresh store
 // starts one empty shard with opts and grows toward the shards target as
 // data arrives. A store written by the single-tree facade before it
-// became one shard (a gob manifest and one legacy log) is upgraded: see
-// upgradeLegacy. Automatic checkpointing starts enabled.
+// became one shard (one legacy log, under a gob manifest or under no
+// checkpoint at all) is upgraded: see upgradeLegacy. Automatic
+// checkpointing starts enabled.
 func OpenDurableSharded[K Key, V any](fsys wal.FS, dev pager.Device, opts Options, shards int) (*DurableSharded[K, V], error) {
 	if shards < 1 {
 		return nil, fmt.Errorf("fitingtree: shard count %d, must be >= 1", shards)
@@ -216,6 +217,12 @@ func OpenDurableSharded[K Key, V any](fsys wal.FS, dev pager.Device, opts Option
 		if legacy {
 			return upgradeLegacy(fsys, dev, d.codec, trees[0], replayFroms[0], shards)
 		}
+		// A crash between an upgrade's commit and its removal of the
+		// legacy log leaves that log behind; the committed cut made it
+		// dead, so it is swept here (best-effort).
+		if ok, _ := hasLegacyLog(fsys); ok {
+			fsys.Remove(legacyWALName)
+		}
 		reachable = append(reachable, mchain...)
 		d.epoch = super.Epoch
 		d.generation = m.Generation
@@ -225,6 +232,15 @@ func OpenDurableSharded[K Key, V any](fsys wal.FS, dev pager.Device, opts Option
 		tr, err := core.BulkLoad[K, V](nil, nil, opts)
 		if err != nil {
 			return nil, err
+		}
+		// A single-tree store that never checkpointed holds everything
+		// in the legacy log, replayed from its start.
+		legacyLog, err := hasLegacyLog(fsys)
+		if err != nil {
+			return nil, err
+		}
+		if legacyLog {
+			return upgradeLegacy(fsys, dev, d.codec, tr, 0, shards)
 		}
 		trees = []*Tree[K, V]{tr}
 		replayFroms = []uint64{0}
@@ -262,9 +278,10 @@ func OpenDurableSharded[K Key, V any](fsys wal.FS, dev pager.Device, opts Option
 }
 
 // upgradeLegacy finishes opening a store written by the single-tree facade
-// before it became one shard. tree is the store's checkpoint; the legacy
-// log's tail past replayFrom is folded into it, and CreateDurableSharded
-// then supersedes the store with a full cut over fresh generation-0 logs.
+// before it became one shard. tree is the store's checkpoint (empty when
+// it never checkpointed); the legacy log's tail past replayFrom is folded
+// into it, and CreateDurableSharded then supersedes the store with a full
+// cut over fresh generation-0 logs.
 // That path shields the legacy pages and leaves the legacy log alone until
 // the cut commits, and only then removes the log, so a crash at any step
 // recovers either the intact legacy store or the upgraded one. The
@@ -327,6 +344,16 @@ func CreateDurableSharded[K Key, V any](fsys wal.FS, dev pager.Device, t *Tree[K
 	}
 	gen := uint64(0)
 	var oldLogs []string
+	// A legacy log is the previous store's (with or without a
+	// checkpoint) or a leftover of an interrupted upgrade; either way the
+	// new cut supersedes it.
+	legacyLog, err := hasLegacyLog(fsys)
+	if err != nil {
+		return nil, err
+	}
+	if legacyLog {
+		oldLogs = append(oldLogs, legacyWALName)
+	}
 	var reachable []pager.PageID
 	if haveCkpt {
 		// A previous store whose manifest no longer decodes was
@@ -334,9 +361,7 @@ func CreateDurableSharded[K Key, V any](fsys wal.FS, dev pager.Device, t *Tree[K
 		// semantics. A legacy store's single log carries no generation,
 		// so the new store starts at generation 0.
 		if m, legacy, mchain, merr := readManifest(store, super); merr == nil {
-			if legacy {
-				oldLogs = []string{legacyWALName}
-			} else {
+			if !legacy {
 				gen = m.Generation + 1
 				for i := range m.Shards {
 					oldLogs = append(oldLogs, ShardWALName(m.Generation, i))
@@ -388,9 +413,9 @@ func CreateDurableSharded[K Key, V any](fsys wal.FS, dev pager.Device, t *Tree[K
 	// Committed: the previous store and any stale rebalance intent are
 	// dead. The sweep is best-effort — a leftover intent resolves
 	// harmlessly at the next open (its generation is at most gen, so it
-	// can never condemn this store's logs), and old log files are never
-	// opened again (log names embed the generation, and the legacy log is
-	// read only under a legacy manifest).
+	// can never condemn this store's logs), old shard logs are never
+	// opened again (log names embed the generation), and a leftover
+	// legacy log is swept by the next open.
 	for _, name := range oldLogs {
 		d.fsys.Remove(name)
 	}

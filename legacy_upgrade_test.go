@@ -17,20 +17,27 @@ import (
 	"fitingtree/internal/wal"
 )
 
-// legacyDir holds a store written by the single-tree facade before it
-// became a one-shard DurableSharded: a gob manifest checkpoint plus a
-// synced, never-checkpointed tail in the legacy wal.log. See its
-// README.md.
-const legacyDir = "testdata/legacy-durable"
+// Stores written by the single-tree facade before it became a one-shard
+// DurableSharded; see each directory's README.md. legacyDir holds a gob
+// manifest checkpoint plus a synced, never-checkpointed tail in the
+// legacy wal.log. legacyUncheckpointedDir never checkpointed: it has no
+// superblock, and its synced wal.log holds everything.
+const (
+	legacyDir               = "testdata/legacy-durable"
+	legacyUncheckpointedDir = "testdata/legacy-durable-uncheckpointed"
+)
 
-// legacyExpected parses the fixture's expected.txt: the full content in
+var legacyFixtures = []string{legacyDir, legacyUncheckpointedDir}
+
+// legacyExpected parses a fixture's expected.txt: the full content in
 // dump's normalized order, and the element count of its checkpoint alone.
-func legacyExpected(t testing.TB) (pairs [][2]int, checkpointed int) {
+func legacyExpected(t testing.TB, dir string) (pairs [][2]int, checkpointed int) {
 	t.Helper()
-	data, err := os.ReadFile(filepath.Join(legacyDir, "expected.txt"))
+	data, err := os.ReadFile(filepath.Join(dir, "expected.txt"))
 	if err != nil {
 		t.Fatal(err)
 	}
+	header := false
 	sc := bufio.NewScanner(bytes.NewReader(data))
 	for sc.Scan() {
 		line := sc.Text()
@@ -38,6 +45,7 @@ func legacyExpected(t testing.TB) (pairs [][2]int, checkpointed int) {
 			if checkpointed, err = strconv.Atoi(rest); err != nil {
 				t.Fatal(err)
 			}
+			header = true
 			continue
 		}
 		var k, v int
@@ -46,22 +54,22 @@ func legacyExpected(t testing.TB) (pairs [][2]int, checkpointed int) {
 		}
 		pairs = append(pairs, [2]int{k, v})
 	}
-	if len(pairs) == 0 || checkpointed == 0 {
+	if len(pairs) == 0 || !header {
 		t.Fatal("expected.txt holds no contents or no checkpointed count")
 	}
 	return pairs, checkpointed
 }
 
-// legacyInMemory copies the fixture into a MemFS and an in-memory Disk.
-func legacyInMemory(t testing.TB) (*wal.MemFS, *pager.Disk) {
+// legacyInMemory copies a fixture into a MemFS and an in-memory Disk.
+func legacyInMemory(t testing.TB, dir string) (*wal.MemFS, *pager.Disk) {
 	t.Helper()
-	logData, err := os.ReadFile(filepath.Join(legacyDir, legacyWALName))
+	logData, err := os.ReadFile(filepath.Join(dir, legacyWALName))
 	if err != nil {
 		t.Fatal(err)
 	}
 	mem := wal.NewMemFS()
 	mem.SetBytes(legacyWALName, logData)
-	pages, err := os.ReadFile(filepath.Join(legacyDir, "pages.db"))
+	pages, err := os.ReadFile(filepath.Join(dir, "pages.db"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +84,7 @@ func legacyInMemory(t testing.TB) (*wal.MemFS, *pager.Disk) {
 
 // checkLegacyContents reopens a store on healthy storage and asserts it
 // holds exactly the fixture's expected contents in a structurally valid
-// tree.
+// tree, and that no legacy log survives the open.
 func checkLegacyContents(t *testing.T, label string, fsys wal.FS, dev pager.Device, want [][2]int) {
 	t.Helper()
 	d, err := OpenDurable[int, int](fsys, dev, Options{})
@@ -90,17 +98,26 @@ func checkLegacyContents(t *testing.T, label string, fsys wal.FS, dev pager.Devi
 	if got := dump(d); !pairsEqual(got, want) {
 		t.Fatalf("%s: opened %d pairs, want the fixture's %d", label, len(got), len(want))
 	}
+	if ok, err := hasLegacyLog(fsys); ok || err != nil {
+		t.Fatalf("%s: legacy log survived the open (probe error %v)", label, err)
+	}
 }
 
-// TestOpenDurableUpgradesLegacyStore opens the legacy fixture on real
+// TestOpenDurableUpgradesLegacyStore opens each legacy fixture on real
 // files: the contents equal the fixture's, the store is rewritten as a
 // one-shard core.ShardManifest cut with the legacy log removed, and a
 // second open reads the same contents.
 func TestOpenDurableUpgradesLegacyStore(t *testing.T) {
-	want, _ := legacyExpected(t)
+	for _, fixture := range legacyFixtures {
+		t.Run(filepath.Base(fixture), func(t *testing.T) { testOpenDurableUpgrades(t, fixture) })
+	}
+}
+
+func testOpenDurableUpgrades(t *testing.T, fixture string) {
+	want, _ := legacyExpected(t, fixture)
 	dir := t.TempDir()
 	for _, name := range []string{legacyWALName, "pages.db"} {
-		data, err := os.ReadFile(filepath.Join(legacyDir, name))
+		data, err := os.ReadFile(filepath.Join(fixture, name))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -157,16 +174,23 @@ func TestOpenDurableUpgradesLegacyStore(t *testing.T) {
 	checkLegacyContents(t, "second open", fsys, dev, want)
 }
 
-// TestLegacyUpgradeCrashMatrix kills the upgrading open at every mutating
-// operation of the WAL file system and, separately, of the checkpoint
-// device, then crashes away unsynced bytes: reopening on healthy storage
-// must recover exactly the fixture's contents, from the intact legacy
-// store or from the upgraded one.
+// TestLegacyUpgradeCrashMatrix kills the upgrading open of each legacy
+// fixture at every mutating operation of the WAL file system and,
+// separately, of the checkpoint device, then crashes away unsynced bytes:
+// reopening on healthy storage must recover exactly the fixture's
+// contents, from the intact legacy store or from the upgraded one, and
+// leave no legacy log behind.
 func TestLegacyUpgradeCrashMatrix(t *testing.T) {
-	want, _ := legacyExpected(t)
+	for _, fixture := range legacyFixtures {
+		t.Run(filepath.Base(fixture), func(t *testing.T) { testLegacyUpgradeCrashMatrix(t, fixture) })
+	}
+}
+
+func testLegacyUpgradeCrashMatrix(t *testing.T, fixture string) {
+	want, _ := legacyExpected(t, fixture)
 
 	// Probe: count the healthy upgrade's fault sites on both stores.
-	mem, disk := legacyInMemory(t)
+	mem, disk := legacyInMemory(t, fixture)
 	probeFS := wal.NewFaultFS(mem)
 	probeDev := pager.NewFaultDevice(disk)
 	d, err := OpenDurable[int, int](probeFS, probeDev, Options{})
@@ -180,7 +204,7 @@ func TestLegacyUpgradeCrashMatrix(t *testing.T) {
 	}
 
 	run := func(t *testing.T, arm func(*wal.FaultFS, *pager.FaultDevice)) {
-		mem, disk := legacyInMemory(t)
+		mem, disk := legacyInMemory(t, fixture)
 		faultyFS := wal.NewFaultFS(mem)
 		faultyDev := pager.NewFaultDevice(disk)
 		arm(faultyFS, faultyDev)

@@ -81,8 +81,8 @@ func TestScrubSharded(t *testing.T) {
 // single-tree gob manifest: the fixture's checkpoint, audited before any
 // open upgrades it.
 func TestScrubSingleTree(t *testing.T) {
-	_, checkpointed := legacyExpected(t)
-	_, dev := legacyInMemory(t)
+	_, checkpointed := legacyExpected(t, legacyDir)
+	_, dev := legacyInMemory(t, legacyDir)
 	rep, err := Scrub[int, int](dev)
 	if err != nil {
 		t.Fatal(err)
