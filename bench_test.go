@@ -14,8 +14,6 @@ import (
 	"fitingtree/internal/bench"
 	"fitingtree/internal/btree"
 	"fitingtree/internal/costmodel"
-	"fitingtree/internal/diskindex"
-	"fitingtree/internal/pager"
 	"fitingtree/internal/segment"
 	"fitingtree/internal/workload"
 )
@@ -363,11 +361,12 @@ func BenchmarkRouters(b *testing.B) {
 }
 
 // BenchmarkParallelLookup measures aggregate point-lookup throughput at
-// 1/2/4/8 reader goroutines for the two concurrency facades, with the bare
-// tree as the no-synchronization baseline. ns/op is aggregate wall time
-// for b.N lookups spread across the goroutines, so a facade that scales
-// shows shrinking ns/op as goroutines grow (given GOMAXPROCS > 1); the
-// RWMutex facade instead serializes on the lock word.
+// 1/2/4/8 reader goroutines for an RWMutex-guarded tree
+// (bench.RWMutexLookup) and the Optimistic facade, with the bare tree as
+// the no-synchronization baseline. ns/op is aggregate wall time for b.N
+// lookups spread across the goroutines, so a path that scales shows
+// shrinking ns/op as goroutines grow (given GOMAXPROCS > 1); the RWMutex
+// baseline instead serializes on the lock word.
 func BenchmarkParallelLookup(b *testing.B) {
 	keys := benchKeys()
 	vals := benchVals(len(keys))
@@ -404,8 +403,7 @@ func BenchmarkParallelLookup(b *testing.B) {
 	})
 	for _, g := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("rwmutex/goroutines=%d", g), func(b *testing.B) {
-			c := fitingtree.NewConcurrent(build(b))
-			run(b, c.Lookup, g)
+			run(b, bench.RWMutexLookup(build(b)), g)
 		})
 	}
 	for _, g := range []int{1, 2, 4, 8} {
@@ -443,8 +441,7 @@ func BenchmarkParallelLookupCPU(b *testing.B) {
 		})
 	}
 	b.Run("rwmutex", func(b *testing.B) {
-		c := fitingtree.NewConcurrent(build(b))
-		run(b, c.Lookup)
+		run(b, bench.RWMutexLookup(build(b)))
 	})
 	b.Run("optimistic", func(b *testing.B) {
 		o := fitingtree.NewOptimistic(build(b))
@@ -480,33 +477,4 @@ func BenchmarkLookupBatch(b *testing.B) {
 			t.LookupBatch(sorted)
 		}
 	})
-}
-
-// BenchmarkExtIOPageReads measures disk-backed lookups through the buffer
-// pool and reports page reads per operation.
-func BenchmarkExtIOPageReads(b *testing.B) {
-	keys := workload.Weblogs(100_000, 1)
-	pool := pager.NewPool(pager.NewDisk(), 64)
-	col, err := diskindex.StoreColumn(pool, keys)
-	if err != nil {
-		b.Fatal(err)
-	}
-	ft, err := diskindex.NewFITing(col, 100, keys)
-	if err != nil {
-		b.Fatal(err)
-	}
-	probes := bench.Probes(keys, 1<<14, 10)
-	mask := len(probes) - 1
-	pool.ResetStats()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := ft.Lookup(probes[i&mask]); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	st := pool.Stats()
-	if st.Hits+st.Misses > 0 {
-		b.ReportMetric(float64(st.Misses)/float64(b.N), "reads/op")
-	}
 }

@@ -7,12 +7,14 @@
 //	fitbench -exp all                 # everything, paper order
 //	fitbench -exp fig6 -n 2000000     # one experiment at a larger scale
 //	fitbench -exp table1 -quick       # reduced sweeps
+//	fitbench -exp parallel -json p.json  # also write the points as JSON
 package main
 
 import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -22,14 +24,107 @@ import (
 	"fitingtree/internal/bench"
 )
 
+// experiment is one -exp choice. Exactly one of table and report is set:
+// a table experiment only prints its rows; a report experiment also
+// returns its points, which -json writes out as a bench.Report.
+type experiment struct {
+	name   string
+	table  func(io.Writer, bench.Config)
+	report func(io.Writer, bench.Config) bench.Report
+}
+
+// experiments is the runner table, in the order -exp all runs it.
+var experiments = []experiment{
+	{name: "table1", table: bench.Table1},
+	{name: "fig1", table: bench.Fig1},
+	{name: "fig6", table: bench.Fig6},
+	{name: "fig7", table: bench.Fig7},
+	{name: "fig8", table: bench.Fig8},
+	{name: "fig9", table: bench.Fig9},
+	{name: "fig10", table: bench.Fig10},
+	{name: "fig11", table: bench.Fig11},
+	{name: "fig12", table: bench.Fig12},
+	{name: "fig13", table: bench.Fig13},
+	{name: "extrange", table: bench.ExtRange},
+	{name: "extablation", table: bench.ExtAblation},
+	{name: "shardwrite", report: points(bench.ExtShardWrite)},
+	{name: "flushstall", report: func(w io.Writer, cfg bench.Config) bench.Report {
+		p := bench.ExtFlushStall(w, cfg)
+		r := bench.Report{Points: p}
+		if len(p) > 0 {
+			r.FlushEvery = p[0].FlushEvery
+		}
+		return r
+	}},
+	{name: "flushpub", report: points(bench.ExtFlushPub)},
+	{name: "recovery", report: points(bench.ExtRecovery)},
+	{name: "shardrecovery", report: points(bench.ExtShardRecovery)},
+	{name: "burst", report: func(w io.Writer, cfg bench.Config) bench.Report {
+		p := bench.ExtBurst(w, cfg)
+		r := bench.Report{Points: p}
+		if len(p) > 0 {
+			r.FlushEvery = p[0].FlushEvery
+		}
+		return r
+	}},
+	{name: "strings", report: points(bench.ExtStrings)},
+	{name: "adaptive", report: points(bench.ExtAdaptive)},
+	{name: "parallel", report: points(bench.ExtParallel)},
+}
+
+// points adapts an experiment that returns a point slice to the runner
+// table.
+func points[P any](run func(io.Writer, bench.Config) []P) func(io.Writer, bench.Config) bench.Report {
+	return func(w io.Writer, cfg bench.Config) bench.Report {
+		return bench.Report{Points: run(w, cfg)}
+	}
+}
+
+// selected returns the experiments -exp name runs: the whole table for
+// "all", otherwise the named one, and nil for an unknown name.
+func selected(name string) []experiment {
+	if name == "all" {
+		return experiments
+	}
+	for _, e := range experiments {
+		if e.name == name {
+			return []experiment{e}
+		}
+	}
+	return nil
+}
+
+// acceptsJSON reports whether -json applies to -exp name: to every
+// report experiment, and to "all".
+func acceptsJSON(name string) bool {
+	for _, e := range selected(name) {
+		if e.report != nil {
+			return true
+		}
+	}
+	return false
+}
+
+// names lists the experiments that have a report (or, with reports
+// false, every experiment), in table order.
+func names(reports bool) string {
+	var out []string
+	for _, e := range experiments {
+		if !reports || e.report != nil {
+			out = append(out, e.name)
+		}
+	}
+	return strings.Join(out, ", ")
+}
+
 func main() {
 	var (
-		exp      = flag.String("exp", "all", "experiment: table1, fig1, fig6..fig13, extio, extrange, extablation, parallel, shardwrite, flushstall, flushpub, recovery, shardrecovery, burst, strings, adaptive, all")
+		exp      = flag.String("exp", "all", "experiment: "+names(false)+", all")
 		n        = flag.Int("n", 1_000_000, "base dataset size")
 		seed     = flag.Int64("seed", 1, "workload RNG seed")
 		probes   = flag.Int("probes", 100_000, "lookup probes per measurement")
 		quick    = flag.Bool("quick", false, "reduced sweeps for a fast run")
-		jsonPath = flag.String("json", "", "write machine-readable results of -exp parallel or shardwrite to this file; with -exp all, parallel goes here and shardwrite to <name>_shardwrite.<ext>")
+		jsonPath = flag.String("json", "", "write the machine-readable points of -exp "+names(true)+" to this file; with -exp all, parallel goes here and each other one to <name>_<exp>.<ext>")
 	)
 	flag.Parse()
 
@@ -41,229 +136,58 @@ func main() {
 		Quick:      *quick,
 	}
 
-	runners := map[string]func(){
-		"table1":      func() { bench.Table1(os.Stdout, cfg) },
-		"fig1":        func() { bench.Fig1(os.Stdout, cfg) },
-		"fig6":        func() { bench.Fig6(os.Stdout, cfg) },
-		"fig7":        func() { bench.Fig7(os.Stdout, cfg) },
-		"fig8":        func() { bench.Fig8(os.Stdout, cfg) },
-		"fig9":        func() { bench.Fig9(os.Stdout, cfg) },
-		"fig10":       func() { bench.Fig10(os.Stdout, cfg) },
-		"fig11":       func() { bench.Fig11(os.Stdout, cfg) },
-		"fig12":       func() { bench.Fig12(os.Stdout, cfg) },
-		"fig13":       func() { bench.Fig13(os.Stdout, cfg) },
-		"extio":       func() { bench.ExtIO(os.Stdout, cfg) },
-		"extrange":    func() { bench.ExtRange(os.Stdout, cfg) },
-		"extablation": func() { bench.ExtAblation(os.Stdout, cfg) },
-		"parallel": func() {
-			writeParallelJSON(*jsonPath, cfg, bench.ExtParallel(os.Stdout, cfg))
-		},
-		"shardwrite": func() {
-			writeShardWriteJSON(*jsonPath, cfg, bench.ExtShardWrite(os.Stdout, cfg))
-		},
-		"flushstall": func() {
-			writeFlushStallJSON(*jsonPath, cfg, bench.ExtFlushStall(os.Stdout, cfg))
-		},
-		"flushpub": func() {
-			writeFlushPubJSON(*jsonPath, cfg, bench.ExtFlushPub(os.Stdout, cfg))
-		},
-		"recovery": func() {
-			writeRecoveryJSON(*jsonPath, cfg, bench.ExtRecovery(os.Stdout, cfg))
-		},
-		"shardrecovery": func() {
-			writeShardRecoveryJSON(*jsonPath, cfg, bench.ExtShardRecovery(os.Stdout, cfg))
-		},
-		"burst": func() {
-			writeBurstJSON(*jsonPath, cfg, bench.ExtBurst(os.Stdout, cfg))
-		},
-		"strings": func() {
-			writeStringsJSON(*jsonPath, cfg, bench.ExtStrings(os.Stdout, cfg))
-		},
-		"adaptive": func() {
-			writeAdaptiveJSON(*jsonPath, cfg, bench.ExtAdaptive(os.Stdout, cfg))
-		},
-		"all": func() {
-			bench.AllButParallel(os.Stdout, cfg)
-			writeShardWriteJSON(suffixedPath(*jsonPath, "_shardwrite"), cfg, bench.ExtShardWrite(os.Stdout, cfg))
-			writeFlushStallJSON(suffixedPath(*jsonPath, "_flushstall"), cfg, bench.ExtFlushStall(os.Stdout, cfg))
-			writeFlushPubJSON(suffixedPath(*jsonPath, "_flushpub"), cfg, bench.ExtFlushPub(os.Stdout, cfg))
-			writeRecoveryJSON(suffixedPath(*jsonPath, "_recovery"), cfg, bench.ExtRecovery(os.Stdout, cfg))
-			writeShardRecoveryJSON(suffixedPath(*jsonPath, "_shardrecovery"), cfg, bench.ExtShardRecovery(os.Stdout, cfg))
-			writeBurstJSON(suffixedPath(*jsonPath, "_burst"), cfg, bench.ExtBurst(os.Stdout, cfg))
-			writeStringsJSON(suffixedPath(*jsonPath, "_strings"), cfg, bench.ExtStrings(os.Stdout, cfg))
-			writeAdaptiveJSON(suffixedPath(*jsonPath, "_adaptive"), cfg, bench.ExtAdaptive(os.Stdout, cfg))
-			writeParallelJSON(*jsonPath, cfg, bench.ExtParallel(os.Stdout, cfg))
-		},
-	}
-	run, ok := runners[*exp]
-	if !ok {
+	run := selected(*exp)
+	if run == nil {
 		fmt.Fprintf(os.Stderr, "fitbench: unknown experiment %q\n", *exp)
 		flag.Usage()
 		os.Exit(2)
 	}
-	jsonExps := map[string]bool{"parallel": true, "shardwrite": true, "flushstall": true, "flushpub": true, "recovery": true, "shardrecovery": true, "burst": true, "strings": true, "adaptive": true, "all": true}
-	if *jsonPath != "" && !jsonExps[*exp] {
-		fmt.Fprintf(os.Stderr, "fitbench: -json applies only to -exp parallel, shardwrite, flushstall, flushpub, recovery, shardrecovery, burst, strings, adaptive, or all\n")
+	if *jsonPath != "" && !acceptsJSON(*exp) {
+		fmt.Fprintf(os.Stderr, "fitbench: -json applies only to -exp %s, or all\n", names(true))
 		os.Exit(2)
 	}
 	start := time.Now()
-	run()
+	for _, e := range run {
+		if e.table != nil {
+			e.table(os.Stdout, cfg)
+			continue
+		}
+		r := e.report(os.Stdout, cfg)
+		path := *jsonPath
+		if path == "" {
+			continue
+		}
+		if *exp == "all" && e.name != "parallel" {
+			path = suffixedPath(path, "_"+e.name)
+		}
+		if err := writeReport(path, e.name, cfg, r); err != nil {
+			fmt.Fprintf(os.Stderr, "fitbench: %v\n", err)
+			os.Exit(1)
+		}
+		fmt.Printf("wrote %s\n", path)
+	}
 	fmt.Printf("(%s in %s, n=%d, seed=%d)\n", *exp, time.Since(start).Round(time.Millisecond), *n, *seed)
 }
 
-// writeParallelJSON writes the parallel experiment's machine-readable
-// report to path; it is a no-op when path is empty.
-func writeParallelJSON(path string, cfg bench.Config, points []bench.ParallelPoint) {
-	writeJSON(path, bench.ParallelReport{
-		Experiment: "parallel",
-		N:          cfg.N,
-		Seed:       cfg.Seed,
-		NumCPU:     runtime.NumCPU(),
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		Points:     points,
-	})
-}
-
-// writeShardWriteJSON writes the shardwrite experiment's machine-readable
-// report to path; it is a no-op when path is empty.
-func writeShardWriteJSON(path string, cfg bench.Config, points []bench.ShardWritePoint) {
-	writeJSON(path, bench.ShardWriteReport{
-		Experiment: "shardwrite",
-		N:          cfg.N,
-		Seed:       cfg.Seed,
-		NumCPU:     runtime.NumCPU(),
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		Points:     points,
-	})
-}
-
-// writeFlushStallJSON writes the flushstall experiment's machine-readable
-// report to path; it is a no-op when path is empty.
-func writeFlushStallJSON(path string, cfg bench.Config, points []bench.FlushStallPoint) {
-	flushEvery := 0
-	if len(points) > 0 {
-		flushEvery = points[0].FlushEvery
+// writeReport stamps r with the experiment's name, the run's
+// configuration and the Go runtime it ran on, and writes it to path as
+// indented JSON.
+func writeReport(path, name string, cfg bench.Config, r bench.Report) error {
+	r.Experiment, r.N, r.Seed = name, cfg.N, cfg.Seed
+	r.GoVersion, r.NumCPU, r.GOMAXPROCS = runtime.Version(), runtime.NumCPU(), runtime.GOMAXPROCS(0)
+	blob, err := json.MarshalIndent(r, "", "  ")
+	if err != nil {
+		return fmt.Errorf("encode json: %w", err)
 	}
-	writeJSON(path, bench.FlushStallReport{
-		Experiment: "flushstall",
-		N:          cfg.N,
-		FlushEvery: flushEvery,
-		Seed:       cfg.Seed,
-		NumCPU:     runtime.NumCPU(),
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		Points:     points,
-	})
-}
-
-// writeFlushPubJSON writes the flushpub experiment's machine-readable
-// report to path; it is a no-op when path is empty.
-func writeFlushPubJSON(path string, cfg bench.Config, points []bench.FlushPubPoint) {
-	writeJSON(path, bench.FlushPubReport{
-		Experiment: "flushpub",
-		Seed:       cfg.Seed,
-		NumCPU:     runtime.NumCPU(),
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		Points:     points,
-	})
-}
-
-// writeRecoveryJSON writes the recovery experiment's machine-readable
-// report to path; it is a no-op when path is empty.
-func writeRecoveryJSON(path string, cfg bench.Config, points []bench.RecoveryPoint) {
-	writeJSON(path, bench.RecoveryReport{
-		Experiment: "recovery",
-		N:          cfg.N,
-		Seed:       cfg.Seed,
-		NumCPU:     runtime.NumCPU(),
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		Points:     points,
-	})
-}
-
-// writeShardRecoveryJSON writes the shardrecovery experiment's
-// machine-readable report to path; it is a no-op when path is empty.
-func writeShardRecoveryJSON(path string, cfg bench.Config, points []bench.ShardRecoveryPoint) {
-	writeJSON(path, bench.ShardRecoveryReport{
-		Experiment: "shardrecovery",
-		N:          cfg.N,
-		Seed:       cfg.Seed,
-		NumCPU:     runtime.NumCPU(),
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		Points:     points,
-	})
-}
-
-// writeBurstJSON writes the burst experiment's machine-readable report to
-// path; it is a no-op when path is empty.
-func writeBurstJSON(path string, cfg bench.Config, points []bench.BurstPoint) {
-	flushEvery := 0
-	if len(points) > 0 {
-		flushEvery = points[0].FlushEvery
-	}
-	writeJSON(path, bench.BurstReport{
-		Experiment: "burst",
-		N:          cfg.N,
-		FlushEvery: flushEvery,
-		Seed:       cfg.Seed,
-		NumCPU:     runtime.NumCPU(),
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		Points:     points,
-	})
-}
-
-// writeStringsJSON writes the strings experiment's machine-readable
-// report to path; it is a no-op when path is empty.
-func writeStringsJSON(path string, cfg bench.Config, points []bench.StringsPoint) {
-	writeJSON(path, bench.StringsReport{
-		Experiment: "strings",
-		N:          cfg.N,
-		Seed:       cfg.Seed,
-		NumCPU:     runtime.NumCPU(),
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		Points:     points,
-	})
-}
-
-// writeAdaptiveJSON writes the adaptive experiment's machine-readable
-// report to path; it is a no-op when path is empty.
-func writeAdaptiveJSON(path string, cfg bench.Config, points []bench.AdaptivePoint) {
-	writeJSON(path, bench.AdaptiveReport{
-		Experiment: "adaptive",
-		N:          cfg.N,
-		Seed:       cfg.Seed,
-		NumCPU:     runtime.NumCPU(),
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		Points:     points,
-	})
+	return os.WriteFile(path, append(blob, '\n'), 0o644)
 }
 
 // suffixedPath derives a sibling report's file name when -exp all
 // captures several experiments under one -json flag: "x.json" with
-// suffix "_shardwrite" becomes "x_shardwrite.json". Empty stays empty
-// (no capture requested).
+// suffix "_shardwrite" becomes "x_shardwrite.json".
 func suffixedPath(path, suffix string) string {
-	if path == "" {
-		return ""
-	}
 	if ext := filepath.Ext(path); ext != "" {
 		return strings.TrimSuffix(path, ext) + suffix + ext
 	}
 	return path + suffix
-}
-
-// writeJSON marshals a report to path; empty path is a no-op.
-func writeJSON(path string, report any) {
-	if path == "" {
-		return
-	}
-	blob, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "fitbench: encode json: %v\n", err)
-		os.Exit(1)
-	}
-	if err := os.WriteFile(path, append(blob, '\n'), 0o644); err != nil {
-		fmt.Fprintf(os.Stderr, "fitbench: write %s: %v\n", path, err)
-		os.Exit(1)
-	}
-	fmt.Printf("wrote %s\n", path)
 }

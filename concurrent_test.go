@@ -9,8 +9,8 @@ import (
 	"fitingtree"
 )
 
-// readerWriterIndex is the surface shared by the two concurrency facades,
-// so the stress test exercises both through one driver.
+// readerWriterIndex is the reader/writer surface the stress driver
+// exercises.
 type readerWriterIndex interface {
 	Lookup(k uint64) (uint64, bool)
 	Contains(k uint64) bool
@@ -111,15 +111,6 @@ func stressKeys() ([]uint64, []uint64) {
 		keys[i] = uint64(i * 2)
 	}
 	return keys, append([]uint64(nil), keys...)
-}
-
-func TestConcurrentStress(t *testing.T) {
-	keys, vals := stressKeys()
-	tr, err := fitingtree.BulkLoad(keys, vals, fitingtree.Options{Error: 64, BufferSize: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	stressIndex(t, fitingtree.NewConcurrent(tr), 4)
 }
 
 func TestOptimisticStress(t *testing.T) {

@@ -2,9 +2,7 @@ package fitingtree_test
 
 import (
 	"bytes"
-	"math/rand"
 	"sort"
-	"sync"
 	"testing"
 	"testing/quick"
 
@@ -124,62 +122,6 @@ func TestEncodeDecode(t *testing.T) {
 func TestDecodeRejectsGarbage(t *testing.T) {
 	if _, err := fitingtree.Decode[uint64, int](bytes.NewReader([]byte("not a snapshot"))); err == nil {
 		t.Fatal("decoded garbage")
-	}
-}
-
-func TestConcurrentReadersAndWriter(t *testing.T) {
-	keys := make([]uint64, 50_000)
-	for i := range keys {
-		keys[i] = uint64(i * 2)
-	}
-	vals := make([]int, len(keys))
-	tr, err := fitingtree.BulkLoad(keys, vals, fitingtree.Options{Error: 100})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := fitingtree.NewConcurrent(tr)
-
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	for r := 0; r < 4; r++ {
-		wg.Add(1)
-		go func(seed int64) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(seed))
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				k := uint64(rng.Intn(100_000))
-				if k%2 == 0 && k < 100_000 {
-					if !c.Contains(k) && k < uint64(len(keys)*2) {
-						// Writers may be deleting; only even bulk keys that
-						// were never deleted must be present. Tolerate.
-						_ = k
-					}
-				}
-				c.AscendRange(k, k+50, func(uint64, int) bool { return true })
-			}
-		}(int64(r))
-	}
-	for i := 0; i < 20_000; i++ {
-		c.Insert(uint64(200_000+i), -i)
-	}
-	close(stop)
-	wg.Wait()
-	if c.Len() != 70_000 {
-		t.Fatalf("Len = %d, want 70000", c.Len())
-	}
-	if _, ok := c.Lookup(200_001); !ok {
-		t.Fatal("inserted key missing after concurrent phase")
-	}
-	if c.Delete(200_001) != true {
-		t.Fatal("delete failed")
-	}
-	if c.Stats().Elements != 69_999 {
-		t.Fatalf("stats elements = %d", c.Stats().Elements)
 	}
 }
 

@@ -17,6 +17,21 @@ import (
 	"fitingtree/internal/num"
 )
 
+// Report is the machine-readable envelope cmd/fitbench -json writes for
+// every experiment that returns points (the committed BENCH_pr*.json
+// files). Points holds that experiment's point slice; FlushEvery is set
+// only by the experiments that run at one fixed flush interval.
+type Report struct {
+	Experiment string `json:"experiment"`
+	N          int    `json:"n"`
+	FlushEvery int    `json:"flush_every,omitempty"`
+	Seed       int64  `json:"seed"`
+	GoVersion  string `json:"go_version"`
+	NumCPU     int    `json:"num_cpu"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	Points     any    `json:"points"`
+}
+
 // Table accumulates rows and renders them aligned.
 type Table struct {
 	Title   string

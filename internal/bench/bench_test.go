@@ -101,7 +101,6 @@ func TestExperimentSmoke(t *testing.T) {
 		{"fig11", func(w *bytes.Buffer) { Fig11(w, quickCfg()) }},
 		{"fig12", func(w *bytes.Buffer) { Fig12(w, quickCfg()) }},
 		{"fig13", func(w *bytes.Buffer) { Fig13(w, quickCfg()) }},
-		{"extio", func(w *bytes.Buffer) { ExtIO(w, quickCfg()) }},
 		{"extrange", func(w *bytes.Buffer) { ExtRange(w, quickCfg()) }},
 		{"extablation", func(w *bytes.Buffer) { ExtAblation(w, quickCfg()) }},
 		{"parallel", func(w *bytes.Buffer) { ExtParallel(w, quickCfg()) }},

@@ -28,18 +28,6 @@ type BurstPoint struct {
 	BPFolds    uint64  `json:"backpressure_folds"` // inline folds forced on writers
 }
 
-// BurstReport is the machine-readable envelope for BurstPoint
-// measurements (written as BENCH_pr7.json by cmd/fitbench -json).
-type BurstReport struct {
-	Experiment string       `json:"experiment"`
-	N          int          `json:"n"`
-	FlushEvery int          `json:"flush_every"`
-	Seed       int64        `json:"seed"`
-	NumCPU     int          `json:"num_cpu"`
-	GOMAXPROCS int          `json:"gomaxprocs"`
-	Points     []BurstPoint `json:"points"`
-}
-
 // ExtBurst is the merge-ladder extension experiment: the same bursty
 // writer runs against ladder depths 1, 2, and 4. Burst size is
 // 5.5 × flushEvery: a depth-1 pipeline holds at most one frozen layer

@@ -405,29 +405,3 @@ func Fig13(w io.Writer, cfg Config) {
 	}
 	t.Print(w)
 }
-
-// All runs every paper experiment in paper order, then the extension
-// experiments (disk I/O, range scans, ablations).
-func All(w io.Writer, cfg Config) {
-	AllButParallel(w, cfg)
-	ExtParallel(w, cfg)
-}
-
-// AllButParallel runs every experiment except ExtParallel, for callers
-// that run the parallel experiment separately to capture its points
-// (cmd/fitbench's -json).
-func AllButParallel(w io.Writer, cfg Config) {
-	Table1(w, cfg)
-	Fig1(w, cfg)
-	Fig6(w, cfg)
-	Fig7(w, cfg)
-	Fig8(w, cfg)
-	Fig9(w, cfg)
-	Fig10(w, cfg)
-	Fig11(w, cfg)
-	Fig12(w, cfg)
-	Fig13(w, cfg)
-	ExtIO(w, cfg)
-	ExtRange(w, cfg)
-	ExtAblation(w, cfg)
-}

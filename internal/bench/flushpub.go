@@ -35,16 +35,6 @@ type FlushPubPoint struct {
 	RouterRebuildNs float64 `json:"router_rebuild_ns"`
 }
 
-// FlushPubReport is the machine-readable envelope for FlushPubPoint
-// measurements (written as BENCH_pr5.json by cmd/fitbench -json).
-type FlushPubReport struct {
-	Experiment string          `json:"experiment"`
-	Seed       int64           `json:"seed"`
-	NumCPU     int             `json:"num_cpu"`
-	GOMAXPROCS int             `json:"gomaxprocs"`
-	Points     []FlushPubPoint `json:"points"`
-}
-
 // flushPubOps builds a MergeCOW op list of `delta` distinct uniform random
 // insert keys over the tree's key range.
 func flushPubOps(tr *core.Tree[uint64, uint64], delta int, seed int64) []core.MergeOp[uint64, uint64] {

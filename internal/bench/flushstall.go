@@ -29,19 +29,6 @@ type FlushStallPoint struct {
 	MaxNs      float64 `json:"max_ns"` // worst-case writer stall
 }
 
-// FlushStallReport is the machine-readable envelope for FlushStallPoint
-// measurements (written as BENCH_pr4.json by cmd/fitbench -json), the
-// write-tail-latency companion to ShardWriteReport's throughput capture.
-type FlushStallReport struct {
-	Experiment string            `json:"experiment"`
-	N          int               `json:"n"`
-	FlushEvery int               `json:"flush_every"`
-	Seed       int64             `json:"seed"`
-	NumCPU     int               `json:"num_cpu"`
-	GOMAXPROCS int               `json:"gomaxprocs"`
-	Points     []FlushStallPoint `json:"points"`
-}
-
 // flushStallKeys pre-generates a writer's insert stream: uniform random
 // keys over the base range, made odd so they never collide with the
 // even-spaced base keys.

@@ -22,16 +22,17 @@ type ParallelPoint struct {
 	Speedup    float64 `json:"speedup_vs_1"` // vs the same facade at 1 goroutine
 }
 
-// ParallelReport is the machine-readable envelope for ParallelPoint
-// measurements (written as BENCH_pr1.json by cmd/fitbench -json), so later
-// PRs can compare against a recorded perf trajectory.
-type ParallelReport struct {
-	Experiment string          `json:"experiment"`
-	N          int             `json:"n"`
-	Seed       int64           `json:"seed"`
-	NumCPU     int             `json:"num_cpu"`
-	GOMAXPROCS int             `json:"gomaxprocs"`
-	Points     []ParallelPoint `json:"points"`
+// RWMutexLookup returns a lookup over t that holds a shared
+// sync.RWMutex read lock for each call: the lock-based read-scaling
+// baseline ("rwmutex") that ExtParallel and the root benchmarks compare
+// the latch-free Optimistic path against.
+func RWMutexLookup(t *fitingtree.Tree[uint64, uint64]) func(uint64) (uint64, bool) {
+	var mu sync.RWMutex
+	return func(k uint64) (uint64, bool) {
+		mu.RLock()
+		defer mu.RUnlock()
+		return t.Lookup(k)
+	}
 }
 
 // aggregateOpsPerSec runs g goroutines hammering lookup over probes for at
@@ -68,10 +69,10 @@ func aggregateOpsPerSec(lookup func(uint64) (uint64, bool), probes []uint64, g i
 }
 
 // ExtParallel is the concurrency extension experiment: aggregate Lookup
-// throughput of the RWMutex facade (Concurrent) against the optimistic
-// read path (Optimistic) as reader goroutines grow, with the bare
-// single-threaded Tree at 1 goroutine as the no-synchronization upper
-// bound. The optimistic path takes no lock, so its curve should track the
+// throughput of an RWMutex-guarded Tree (RWMutexLookup) against the
+// optimistic read path (Optimistic) as reader goroutines grow, with the
+// bare single-threaded Tree at 1 goroutine as the no-synchronization
+// upper bound. The optimistic path takes no lock, so its curve should track the
 // available cores; the RWMutex curve flatlines on the shared lock word.
 // Note that scaling beyond 1x requires GOMAXPROCS > 1 and free cores.
 func ExtParallel(w io.Writer, cfg Config) []ParallelPoint {
@@ -88,7 +89,7 @@ func ExtParallel(w io.Writer, cfg Config) []ParallelPoint {
 		return tr
 	}
 	plain := build()
-	rw := fitingtree.NewConcurrent(build())
+	rw := RWMutexLookup(build())
 	opt := fitingtree.NewOptimistic(build())
 
 	goroutines := []int{1, 2, 4, 8}
@@ -114,7 +115,7 @@ func ExtParallel(w io.Writer, cfg Config) []ParallelPoint {
 		}
 	}
 	measure("tree", plain.Lookup, []int{1})
-	measure("rwmutex", rw.Lookup, goroutines)
+	measure("rwmutex", rw, goroutines)
 	measure("optimistic", opt.Lookup, goroutines)
 	t.Print(w)
 	return points

@@ -35,17 +35,6 @@ type RecoveryPoint struct {
 	CheckpointNs  float64 `json:"checkpoint_ns"`  // mean Checkpoint wall time
 }
 
-// RecoveryReport is the machine-readable envelope for RecoveryPoint
-// measurements (written as BENCH_pr6.json by cmd/fitbench -json).
-type RecoveryReport struct {
-	Experiment string          `json:"experiment"`
-	N          int             `json:"n"`
-	Seed       int64           `json:"seed"`
-	NumCPU     int             `json:"num_cpu"`
-	GOMAXPROCS int             `json:"gomaxprocs"`
-	Points     []RecoveryPoint `json:"points"`
-}
-
 // recoveryOpts is the tree configuration the durability experiment runs
 // at. error=8 sits at the fine-grained end of the paper's evaluated range
 // (Table 1 sweeps error from tens to thousands): it yields hundreds of

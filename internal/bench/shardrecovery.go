@@ -26,18 +26,6 @@ type ShardRecoveryPoint struct {
 	RebuildNs float64 `json:"rebuild_ns"` // mean in-memory BulkLoad wall time (lower bound)
 }
 
-// ShardRecoveryReport is the machine-readable envelope for
-// ShardRecoveryPoint measurements (written as BENCH_pr9.json by
-// cmd/fitbench -json).
-type ShardRecoveryReport struct {
-	Experiment string               `json:"experiment"`
-	N          int                  `json:"n"`
-	Seed       int64                `json:"seed"`
-	NumCPU     int                  `json:"num_cpu"`
-	GOMAXPROCS int                  `json:"gomaxprocs"`
-	Points     []ShardRecoveryPoint `json:"points"`
-}
-
 // shardRecoveryStore builds a sharded durable store holding n Weblogs
 // keys across shards partitions: one full cross-shard checkpoint plus a
 // WAL tail of exactly tail un-checkpointed inserts scattered over the

@@ -24,18 +24,6 @@ type ShardWritePoint struct {
 	LenM      float64 `json:"len_millions"` // final element count, sanity anchor
 }
 
-// ShardWriteReport is the machine-readable envelope for ShardWritePoint
-// measurements (written as BENCH_pr3.json by cmd/fitbench -json), the
-// write-path companion to ParallelReport's read-scaling capture.
-type ShardWriteReport struct {
-	Experiment string            `json:"experiment"`
-	N          int               `json:"n"`
-	Seed       int64             `json:"seed"`
-	NumCPU     int               `json:"num_cpu"`
-	GOMAXPROCS int               `json:"gomaxprocs"`
-	Points     []ShardWritePoint `json:"points"`
-}
-
 // shardWriteInserts pre-generates each writer's insert stream: writer w
 // draws keys from the w-th quantile range of the base keys (disjoint
 // ranges, so on the sharded facade writers land on disjoint shards), made
